@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import factorial
 
 from .errors import KernelError, PoleError, ShapeMismatch
-from .hseries import HSeries
+from .hseries import HSeries, series_inv, series_mul
 from .ratfn import P_ONE, P_ZERO, RF_ZERO, RatFn, pmul, ptrim
 from .scalar import ADDITIVE, MULTIPLICATIVE, Point, Scalar
 from .tensor import LegMatrix, LegShape
@@ -63,6 +63,32 @@ class ArgShift:
         return ArgShift(Fraction(0), t)
 
 
+def _norm_const(c: Fraction, mode: str) -> Fraction:
+    """The group element a stored const stands for: in the multiplicative
+    coordinate a stored 0 (the additive-neutral default) means 1."""
+    if mode != ADDITIVE and c == 0:
+        return Fraction(1)
+    return c
+
+
+def shift_add(a: ArgShift, b: ArgShift, mode: str) -> ArgShift:
+    if mode == ADDITIVE:
+        return ArgShift(a.const + b.const, a.hpart + b.hpart)
+    return ArgShift(
+        _norm_const(a.const, mode) * _norm_const(b.const, mode),
+        a.hpart + b.hpart,
+    )
+
+
+def shift_sub(a: ArgShift, b: ArgShift, mode: str) -> ArgShift:
+    if mode == ADDITIVE:
+        return ArgShift(a.const - b.const, a.hpart - b.hpart)
+    return ArgShift(
+        _norm_const(a.const, mode) / _norm_const(b.const, mode),
+        a.hpart - b.hpart,
+    )
+
+
 def shift_scalar(s: Scalar, off: ArgShift, hscale=Fraction(1)) -> Scalar:
     """Displace the coordinate by off; off.hpart is always an additive
     displacement, which the multiplicative coordinate absorbs as a factor
@@ -72,13 +98,32 @@ def shift_scalar(s: Scalar, off: ArgShift, hscale=Fraction(1)) -> Scalar:
         t = HSeries.constant(off.const, s.truncation) + off.hpart
         return s.shift(t)
     out = s
-    # const 0 means "no factor" (the additive-neutral default); 1 is the
-    # multiplicative neutral element
-    if off.const not in (0, 1):
-        out = out.scale_arg(off.const)
+    c = _norm_const(off.const, s.mode)
+    if c != 1:
+        out = out.scale_arg(c)
     if not off.hpart.is_zero:
         out = out.shift_mul(off.hpart.scale(hscale))
     return out
+
+
+def displaced(m: LegMatrix, off: ArgShift | None, hscale) -> LegMatrix:
+    """m with its symbolic argument displaced by off (None: no displacement)."""
+    neutral = 0 if m.mode == ADDITIVE else 1
+    if off is None or (
+        off.hpart.is_zero and _norm_const(off.const, m.mode) == neutral
+    ):
+        return m
+    return m.map_entries(lambda s: shift_scalar(s, off, hscale))
+
+
+def valued(m: LegMatrix, off: ArgShift, hscale) -> LegMatrix:
+    """m at the fully substituted argument off (no symbolic coordinate left)."""
+    if m.mode == ADDITIVE:
+        val = HSeries.constant(off.const, m.D) + off.hpart
+    else:
+        val = off.hpart.scale(hscale).exp().scale(_norm_const(off.const, m.mode))
+    p = Point(val, m.mode)
+    return m.map_entries(lambda s: Scalar.from_hseries(s.eval(p), m.mode))
 
 
 class RMatrixFamily:
@@ -118,25 +163,11 @@ class RMatrixFamily:
 
     def r(self, off: ArgShift | None = None) -> LegMatrix:
         """R with the symbolic argument displaced by off."""
-        if off is None or (off.hpart.is_zero and (
-            off.const == 0 if self.mode == ADDITIVE else off.const == 1
-        )):
-            return self.base
-        return self.base.map_entries(
-            lambda s: shift_scalar(s, off, self.hshift_scale)
-        )
+        return displaced(self.base, off, self.hshift_scale)
 
     def r_value(self, off: ArgShift) -> LegMatrix:
         """R at a fully substituted argument (no symbolic coordinate left)."""
-        if self.mode == ADDITIVE:
-            val = HSeries.constant(off.const, self.D) + off.hpart
-        else:
-            factor = off.const if off.const != 0 else Fraction(1)
-            val = off.hpart.scale(self.hshift_scale).exp().scale(factor)
-        p = Point(val, self.mode)
-        return self.base.map_entries(
-            lambda s: Scalar.from_hseries(s.eval(p), self.mode)
-        )
+        return valued(self.base, off, self.hshift_scale)
 
     def identity(self, legs: int = 2) -> LegMatrix:
         return LegMatrix.identity(
@@ -314,24 +345,23 @@ def check_crossing(F: RMatrixFamily):
     return g, report
 
 
-def unitarity_scalar(F: RMatrixFamily) -> Scalar:
-    """The scalar phi with R(w) R^{21}(-w) = phi * Id."""
-    return matrix_unitarity_scalar(F.base, F.sigma())
+def extract_scalar(m: LegMatrix) -> Scalar:
+    """The scalar s with m = s * Id; raises if m is not scalar."""
+    s = m.get(0, 0)
+    if any(r != c for (r, c) in m.entries):
+        raise KernelError("operator is not diagonal")
+    if any(m.get(i, i) != s for i in range(m.shape.total)):
+        raise KernelError("operator is not a scalar multiple of Id")
+    return s
 
 
-def matrix_unitarity_scalar(r: LegMatrix, sigma: LegMatrix) -> Scalar:
-    r_neg = r.map_entries(lambda s: s.negate_arg())
-    r21_neg = sigma * r_neg * sigma
-    prod = r * r21_neg
-    n = prod.shape.total
-    phi = prod.get(0, 0)
-    for (rc, cc), v in prod.entries.items():
-        if rc != cc:
-            raise KernelError("product R(w) R^21(-w) is not diagonal")
-    for i in range(n):
-        if prod.get(i, i) != phi:
-            raise KernelError("product R(w) R^21(-w) is not scalar")
-    return phi
+def unitarity_scalar(F) -> Scalar:
+    """The scalar phi with R(w) R^{21}(-w) = phi * Id, for the matrix F.r()
+    of a raw or a normalized family."""
+    r = F.r()
+    sigma = F.sigma()
+    r21_neg = sigma * r.map_entries(lambda s: s.negate_arg()) * sigma
+    return extract_scalar(r * r21_neg)
 
 
 def check_classical_ybe(F: RMatrixFamily, samples=None):
@@ -356,51 +386,28 @@ def check_classical_ybe(F: RMatrixFamily, samples=None):
 
 # -- trigonometric -> rational degeneration ----------------------------
 
-def _series_mul(a, b, L):
-    out = [RF_ZERO] * L
-    for i, x in enumerate(a):
-        if x.is_zero:
-            continue
-        for j in range(L - i):
-            y = b[j]
-            if not y.is_zero:
-                out[i + j] = out[i + j] + x * y
-    return out
-
-
-def _series_inv(a, L):
-    if a[0].is_zero:
-        raise ZeroDivisionError("series inverse of non-unit")
-    out = [RF_ZERO] * L
-    out[0] = a[0].inv()
-    for m in range(1, L):
-        acc = RF_ZERO
-        for k in range(1, m + 1):
-            if not a[k].is_zero and not out[m - k].is_zero:
-                acc = acc + a[k] * out[m - k]
-        out[m] = -(out[0] * acc)
-    return out
-
-
 def _poly_at_series(p, e, L):
     """Evaluate a Fraction-coefficient polynomial at an RatFn series."""
     acc = [RF_ZERO] * L
     for c in reversed(p if p else (Fraction(0),)):
-        acc = _series_mul(acc, e, L)
+        acc = series_mul(acc, e, RF_ZERO)
         acc[0] = acc[0] + RatFn.from_fraction(c)
     return acc
 
 
 def _laurent_quotient(num, den, L):
     """(valuation, coeffs) of num/den as a Laurent series in s."""
-    vn = next((i for i, c in enumerate(num) if not c.is_zero), None)
-    vd = next((i for i, c in enumerate(den) if not c.is_zero), None)
+    vn = next((i for i, c in enumerate(num) if c), None)
+    vd = next((i for i, c in enumerate(den) if c), None)
     if vd is None:
         raise ZeroDivisionError("zero denominator series")
     if vn is None:
         return 0, [RF_ZERO] * L
-    q = _series_mul(
-        num[vn:] + [RF_ZERO] * vn, _series_inv(den[vd:] + [RF_ZERO] * vd, L), L
+    den_unit = den[vd:] + [RF_ZERO] * vd
+    q = series_mul(
+        num[vn:] + [RF_ZERO] * vn,
+        series_inv(den_unit, den_unit[0].inv(), RF_ZERO),
+        RF_ZERO,
     )
     return vn - vd, q
 

@@ -1,7 +1,9 @@
-"""Truncated power series in the quantization parameter h over Q.
+"""Truncated power series in the quantization parameter h.
 
-These are the scalars of k[[h]]/(h^(D+1)): shift amounts, central charges,
-evaluation points.  All operands of a binary operation must share D.
+series_mul and series_inv are the one truncated Cauchy product and inverse
+of the kernel; they work over any coefficient ring whose zero is falsy
+(Fraction, RatFn).  HSeries applies them over Q: shift amounts, central
+charges, evaluation points.  All operands of a binary operation must share D.
 """
 
 from __future__ import annotations
@@ -11,6 +13,36 @@ from math import factorial
 
 from .errors import NonUnitError, TruncationMismatch
 from .ratfn import frac_to_str, str_to_frac
+
+
+def series_mul(a, b, zero) -> list:
+    """Coefficients of a*b truncated to len(a) terms; b is at least as long."""
+    n = len(a)
+    out = [zero] * n
+    # zero tests cost a call per coefficient, so test each b[j] once
+    terms = [(j, y) for j, y in enumerate(b[:n]) if y]
+    for i, x in enumerate(a):
+        if not x:
+            continue
+        for j, y in terms:
+            if i + j >= n:
+                break
+            out[i + j] = out[i + j] + x * y
+    return out
+
+
+def series_inv(a, inv0, zero) -> list:
+    """Coefficients of 1/a truncated to len(a) terms; inv0 is 1/a[0]."""
+    n = len(a)
+    out = [zero] * n
+    out[0] = inv0
+    for m in range(1, n):
+        acc = zero
+        for k in range(1, m + 1):
+            if a[k] and out[m - k]:
+                acc = acc + a[k] * out[m - k]
+        out[m] = -(inv0 * acc)
+    return out
 
 
 class HSeries:
@@ -60,16 +92,7 @@ class HSeries:
 
     def __mul__(self, other: "HSeries") -> "HSeries":
         self._check(other)
-        n = len(self.coeffs)
-        out = [Fraction(0)] * n
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j in range(n - i):
-                b = other.coeffs[j]
-                if b:
-                    out[i + j] += a * b
-        return HSeries(out)
+        return HSeries(series_mul(self.coeffs, other.coeffs, Fraction(0)))
 
     def scale(self, c) -> "HSeries":
         c = Fraction(c)
@@ -78,13 +101,7 @@ class HSeries:
     def inv(self) -> "HSeries":
         if self.coeffs[0] == 0:
             raise NonUnitError("h^0 coefficient is zero")
-        n = len(self.coeffs)
-        out = [Fraction(0)] * n
-        out[0] = 1 / self.coeffs[0]
-        for m in range(1, n):
-            s = sum(self.coeffs[k] * out[m - k] for k in range(1, m + 1))
-            out[m] = -out[0] * s
-        return HSeries(out)
+        return HSeries(series_inv(self.coeffs, 1 / self.coeffs[0], Fraction(0)))
 
     def exp(self) -> "HSeries":
         """exp of a series with zero constant term."""

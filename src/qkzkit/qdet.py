@@ -14,10 +14,19 @@ from fractions import Fraction
 from itertools import permutations
 
 from .errors import KernelError, LiftFailure, NonUnitError
-from .families import ArgShift, RMatrixFamily, shift_scalar
+from .families import (
+    ArgShift,
+    RMatrixFamily,
+    displaced,
+    extract_scalar,
+    shift_scalar,
+    shift_sub,
+    unitarity_scalar,
+    valued,
+)
 from .hseries import HSeries
 from .ratfn import RF_ONE, RF_ZERO, RatFn
-from .scalar import ADDITIVE, Scalar
+from .scalar import Scalar
 from .tensor import LegMatrix, LegShape, solve_linear
 
 
@@ -221,19 +230,6 @@ def qdet_apply(qd: QDetData, x_at) -> LegMatrix:
     return out
 
 
-def extract_scalar(m: LegMatrix) -> Scalar:
-    """The scalar s with m = s * Id; raises if m is not scalar."""
-    n = m.shape.total
-    s = m.get(0, 0)
-    for (r, c) in m.entries:
-        if r != c:
-            raise KernelError("operator is not diagonal")
-    for i in range(n):
-        if m.get(i, i) != s:
-            raise KernelError("operator is not a scalar multiple of Id")
-    return s
-
-
 def compute_rho(F: RMatrixFamily, qd: QDetData, r_at=None) -> Scalar:
     """The scalar by which the determinant element acts in the vector
     representation (x -> R with auxiliary first leg)."""
@@ -293,25 +289,12 @@ class NormalizedFamily:
         return self.family.mode
 
     def r(self, off: ArgShift | None = None) -> LegMatrix:
-        if off is None:
-            return self.rbar
-        return self.rbar.map_entries(
-            lambda s: shift_scalar(s, off, self.family.hshift_scale)
-        )
+        """Rbar with the symbolic argument displaced by off."""
+        return displaced(self.rbar, off, self.family.hshift_scale)
 
     def r_value(self, off: ArgShift) -> LegMatrix:
         """Rbar at a fully substituted argument."""
-        from .scalar import Point
-
-        if self.mode == ADDITIVE:
-            val = HSeries.constant(off.const, self.D) + off.hpart
-        else:
-            factor = off.const if off.const != 0 else Fraction(1)
-            val = off.hpart.scale(self.family.hshift_scale).exp().scale(factor)
-        p = Point(val, self.mode)
-        return self.rbar.map_entries(
-            lambda s: Scalar.from_hseries(s.eval(p), self.mode)
-        )
+        return valued(self.rbar, off, self.family.hshift_scale)
 
     def identity(self, legs: int = 2) -> LegMatrix:
         return self.family.identity(legs)
@@ -327,9 +310,7 @@ class NormalizedFamily:
         )
 
     def unitarity_scalar(self) -> Scalar:
-        from .families import matrix_unitarity_scalar
-
-        return matrix_unitarity_scalar(self.rbar, self.sigma())
+        return unitarity_scalar(self)
 
     def crossing_defect(self):
         """First nonzero grade of theta^2(Rbar) - Rbar(arg shifted by N h),
@@ -350,14 +331,6 @@ def normalize(F: RMatrixFamily) -> NormalizedFamily:
     return nf
 
 
-def word_shift(mode: str, s: HSeries, a: Fraction, base: Fraction = Fraction(0)) -> ArgShift:
-    """Displacement for the argument (w + s - a + base) in the active mode."""
-    if mode == ADDITIVE:
-        return ArgShift(base - a, s)
-    b = base if base != 0 else Fraction(1)
-    return ArgShift(b / a, s)
-
-
 def check_pairing_qdet(nf: NormalizedFamily, points, y=Fraction(0), raw=False):
     """Defect of the determinant element acting through an n-fold ladder of
     R-factors at the given evaluation points (shifted by y).
@@ -374,7 +347,8 @@ def check_pairing_qdet(nf: NormalizedFamily, points, y=Fraction(0), raw=False):
     def x_at(s):
         out = LegMatrix.identity(big, D, nf.mode)
         for j, a in enumerate(points, start=1):
-            off = word_shift(nf.mode, s, Fraction(a), Fraction(y))
+            # the argument w + s + y - a
+            off = shift_sub(ArgShift(Fraction(y), s), ArgShift.of(a, D), nf.mode)
             out = out * src(off).embed(big, (1, j + 1))
         return out
 

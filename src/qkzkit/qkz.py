@@ -19,6 +19,9 @@ from .reps import ComoduleWord, build_braiding, build_rvw, shift_add, shift_sub
 from .scalar import ADDITIVE
 from .tensor import LegMatrix, LegShape
 
+#: injectable faults: controls that must make a check fail
+FAULTS = ("drop-step-shift",)
+
 
 @dataclass(frozen=True)
 class QKZInstance:
@@ -77,7 +80,7 @@ class QKZInstance:
         return QKZInstance(self.nf, tuple(z), tuple(words), self.K)
 
 
-def _z_step(z, i: int, step: HSeries, mode: str):
+def _z_step(z, i: int, step: HSeries):
     """z with z_i displaced by -step (an h-series additive displacement)."""
     out = list(z)
     zi = out[i - 1]
@@ -110,17 +113,23 @@ def build_nabla(inst: QKZInstance, i: int, z=None) -> LegMatrix:
     return out
 
 
-def check_flatness(inst: QKZInstance):
+def check_flatness(inst: QKZInstance, fault: str | None = None):
     """All pairwise flatness residuals
     nabla_j(z - kappa h e_i) nabla_i(z) - nabla_i(z - kappa h e_j) nabla_j(z);
-    returns a list of ((i, j), first nonzero grade or None)."""
+    returns a list of ((i, j), first nonzero grade or None).
+
+    fault="drop-step-shift" takes the outer factor of the right product at
+    z instead of the stepped point, leaving an uncancelled derivative term
+    at h-grade 2 (a control that must fail).
+    """
+    if fault is not None and fault not in FAULTS:
+        raise KernelError(f"unknown fault {fault!r}")
     kh = inst.kappa_h
-    mode = inst.nf.mode
     out = []
     for i in range(1, inst.n + 1):
         for j in range(i + 1, inst.n + 1):
-            zi = _z_step(inst.z, i, kh, mode)
-            zj = _z_step(inst.z, j, kh, mode)
+            zi = _z_step(inst.z, i, kh)
+            zj = inst.z if fault == "drop-step-shift" else _z_step(inst.z, j, kh)
             lhs = build_nabla(inst, j, zi) * build_nabla(inst, i)
             rhs = build_nabla(inst, i, zj) * build_nabla(inst, j)
             out.append(((i, j), (lhs - rhs).first_nonzero_grade()))
@@ -186,7 +195,7 @@ def check_braiding_equivariance(inst: QKZInstance, i: int):
     # the inverse conjugation acts on the target fiber, which sits over the
     # stepped base point, so its braidings see z_i displaced by -kappa h
     stepped = QKZInstance(
-        nf, _z_step(inst.z, i, inst.kappa_h, nf.mode), inst.words, inst.K
+        nf, _z_step(inst.z, i, inst.kappa_h), inst.words, inst.K
     )
     conj_left, _ = conjugator(stepped)
     conj_right, cur = conjugator(inst)
@@ -221,7 +230,7 @@ def check_quasiclassical(inst: QKZInstance, i: int):
 def residual_qkz(inst: QKZInstance, fmap, i: int):
     """Residual F(z - kappa h e_i) - nabla_i(z) F(z) of a candidate
     solution; fmap maps a z-tuple to a fiber vector (list of Scalars)."""
-    z_next = _z_step(inst.z, i, inst.kappa_h, inst.nf.mode)
+    z_next = _z_step(inst.z, i, inst.kappa_h)
     f_here = fmap(inst.z)
     f_next = fmap(z_next)
     total = inst.fiber_shape().total
@@ -239,7 +248,7 @@ def first_order_solution(inst: QKZInstance, i: int, v):
     Returns an fmap suitable for residual_qkz; the residual of equation i
     is then zero at grades 0 and 1 and generically nonzero at grade 2.
     """
-    stepped = _z_step(inst.z, i, inst.kappa_h, inst.nf.mode)
+    stepped = _z_step(inst.z, i, inst.kappa_h)
     a1 = build_nabla(inst, i).grade_matrix(1)
     f_next = [x + y.times_h() for x, y in zip(v, a1.apply(v))]
 

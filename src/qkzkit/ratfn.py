@@ -162,6 +162,9 @@ class RatFn:
     def is_zero(self) -> bool:
         return not self.num
 
+    def __bool__(self) -> bool:
+        return bool(self.num)
+
     @property
     def is_poly(self) -> bool:
         return self.den == P_ONE

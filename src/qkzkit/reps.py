@@ -9,39 +9,12 @@ leg swap composed with the inverse of R_VW.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import ShapeMismatch
-from .families import ArgShift
+from .families import ArgShift, shift_add, shift_sub
 from .hseries import HSeries
 from .qdet import NormalizedFamily
-from .scalar import ADDITIVE
 from .tensor import LegMatrix, LegShape
-
-
-def _norm_const(c: Fraction, mode: str) -> Fraction:
-    # in the multiplicative coordinate the stored 0 means "no factor"
-    if mode != ADDITIVE and c == 0:
-        return Fraction(1)
-    return c
-
-
-def shift_add(a: ArgShift, b: ArgShift, mode: str) -> ArgShift:
-    if mode == ADDITIVE:
-        return ArgShift(a.const + b.const, a.hpart + b.hpart)
-    return ArgShift(
-        _norm_const(a.const, mode) * _norm_const(b.const, mode),
-        a.hpart + b.hpart,
-    )
-
-
-def shift_sub(a: ArgShift, b: ArgShift, mode: str) -> ArgShift:
-    if mode == ADDITIVE:
-        return ArgShift(a.const - b.const, a.hpart - b.hpart)
-    return ArgShift(
-        _norm_const(a.const, mode) / _norm_const(b.const, mode),
-        a.hpart - b.hpart,
-    )
 
 
 @dataclass(frozen=True)
@@ -264,30 +237,3 @@ def check_intertwiner(
     l_vw = build_L(nf, ComoduleWord(shifted_v.letters + wword.letters))
     l_wv = build_L(nf, ComoduleWord(wword.letters + shifted_v.letters))
     return (beta * l_vw - l_wv * beta).first_nonzero_grade()
-
-
-def pairing_product(
-    nf: NormalizedFamily,
-    uword: ComoduleWord,
-    vword: ComoduleWord,
-    y: ArgShift | None = None,
-    value: bool = False,
-) -> LegMatrix:
-    """The ordered product prod_{i=1..p} prod_{j=q..1} Rbar^{i, p+j} at the
-    displacement u_i - v_j + y, on legs [N]^(p+q)."""
-    p, q = len(uword), len(vword)
-    big = word_leg_shape(nf, uword, vword)
-    mode = nf.mode
-    if y is None:
-        y = ArgShift.none(nf.D)
-    out = LegMatrix.identity(big, nf.D, nf.mode)
-    for i in range(1, p + 1):
-        for j in range(q, 0, -1):
-            arg = shift_add(
-                shift_sub(uword.letters[i - 1], vword.letters[j - 1], mode),
-                y,
-                mode,
-            )
-            base = nf.r_value(arg) if value else nf.r(arg)
-            out = out * base.embed(big, (i, p + j))
-    return out

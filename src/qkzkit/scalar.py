@@ -11,8 +11,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-from .errors import ModeMismatch, NonUnitError, PoleError, TruncationMismatch
-from .hseries import HSeries
+from .errors import ModeMismatch, NonUnitError, TruncationMismatch
+from .hseries import HSeries, series_inv, series_mul
 from .ratfn import RF_ONE, RF_W, RF_ZERO, RatFn
 
 ADDITIVE = "additive"
@@ -104,16 +104,7 @@ class Scalar:
 
     def __mul__(self, other: "Scalar") -> "Scalar":
         self._check(other)
-        n = len(self.grades)
-        out = [RF_ZERO] * n
-        for i, a in enumerate(self.grades):
-            if a.is_zero:
-                continue
-            for j in range(n - i):
-                b = other.grades[j]
-                if not b.is_zero:
-                    out[i + j] = out[i + j] + a * b
-        return Scalar(out, self.mode)
+        return Scalar(series_mul(self.grades, other.grades, RF_ZERO), self.mode)
 
     def mul_ratfn(self, r: RatFn) -> "Scalar":
         return Scalar([g * r for g in self.grades], self.mode)
@@ -125,16 +116,8 @@ class Scalar:
     def inv(self) -> "Scalar":
         if not self.is_unit:
             raise NonUnitError("h^0 grade is the zero rational function")
-        n = len(self.grades)
-        out = [RF_ZERO] * n
-        out[0] = self.grades[0].inv()
-        for m in range(1, n):
-            acc = RF_ZERO
-            for k in range(1, m + 1):
-                if not self.grades[k].is_zero and not out[m - k].is_zero:
-                    acc = acc + self.grades[k] * out[m - k]
-            out[m] = -(out[0] * acc)
-        return Scalar(out, self.mode)
+        inv0 = self.grades[0].inv()
+        return Scalar(series_inv(self.grades, inv0, RF_ZERO), self.mode)
 
     def times_h(self, k: int = 1) -> "Scalar":
         """Multiply by h^k (top grades truncated away)."""
@@ -219,13 +202,6 @@ class Scalar:
                 break
             deriv = deriv.diff()
         return acc
-
-    def regular_at(self, p: "Point") -> bool:
-        try:
-            self.eval(p)
-            return True
-        except PoleError:
-            return False
 
     # -- comparisons --------------------------------------------------
     def __eq__(self, other) -> bool:

@@ -13,6 +13,7 @@ from fractions import Fraction
 from .errors import KernelError
 from .families import ArgShift
 from .hseries import HSeries, hseries_to_str, str_to_hseries
+from .qkz import FAULTS
 from .ratfn import ratfn_to_str, str_to_ratfn
 from .scalar import ADDITIVE, MULTIPLICATIVE, Scalar
 from .tensor import LegMatrix, LegShape
@@ -105,6 +106,8 @@ class RunConfig:
     ):
         if suite not in SUITES:
             raise KernelError(f"unknown suite {suite!r}")
+        if fault is not None and fault not in FAULTS:
+            raise KernelError(f"unknown fault {fault!r}; known: {list(FAULTS)}")
         self.family = family
         self.N = int(N)
         self.D = int(D)
@@ -161,6 +164,13 @@ def decode_instance(d: dict, nf, D: int):
 
     points = tuple(str_to_argshift(t, D) for t in d["points"])
     words = tuple(dict_to_word(w, D) for w in d["words"])
+    if nf.mode == MULTIPLICATIVE:
+        for a in points + tuple(a for w in words for a in w.letters):
+            if a.const == 0:
+                raise KernelError(
+                    "multiplicative point or word factor needs a nonzero "
+                    f"h^0 part, got {argshift_to_str(a)!r}"
+                )
     k = str_to_hseries(d.get("K", "1"), D)
     return QKZInstance(nf, points, words, k)
 

@@ -29,7 +29,6 @@ from .hseries import HSeries
 from .qdet import NormalizedFamily, check_pairing_qdet
 from .qkz import (
     QKZInstance,
-    build_nabla,
     check_braiding_equivariance,
     check_flatness,
     check_quasiclassical,
@@ -253,18 +252,13 @@ def suite_qkz(nf: NormalizedFamily, instances=None, fault: str | None = None):
             "base-point differences avoid poles and stay invertible",
             (lambda i=inst: _str_check_none(i.check_regular)),
         ))
-        if fault == "drop-step-shift":
-            specs.append((
-                f"{tag}.flatness",
-                "difference-connection flatness (fault: step shift dropped)",
-                (lambda i=inst: _worst(_flatness_faulty(i))),
-            ))
-        else:
-            specs.append((
-                f"{tag}.flatness",
-                "difference-connection flatness for every index pair",
-                (lambda i=inst: _worst(check_flatness(i))),
-            ))
+        specs.append((
+            f"{tag}.flatness",
+            "difference-connection flatness (fault: step shift dropped)"
+            if fault == "drop-step-shift"
+            else "difference-connection flatness for every index pair",
+            (lambda i=inst: _worst(check_flatness(i, fault))),
+        ))
         for i_idx in range(1, inst.n + 1):
             specs.append((
                 f"{tag}.equivariance[{i_idx}]",
@@ -290,25 +284,6 @@ def _str_check_none(fn):
 def _worst(pairs):
     grades = [g for _, g in pairs if g is not None]
     return min(grades) if grades else None
-
-
-def _flatness_faulty(inst: QKZInstance):
-    """Flatness with the base-point step dropped on the second side: the
-    outer factor of the right product is taken at z instead of the stepped
-    point, leaving an uncancelled derivative term at h-grade 2 (a control
-    that must fail)."""
-    from .qkz import _z_step
-
-    kh = inst.kappa_h
-    mode = inst.nf.mode
-    out = []
-    for i in range(1, inst.n + 1):
-        for j in range(i + 1, inst.n + 1):
-            zi = _z_step(inst.z, i, kh, mode)
-            lhs = build_nabla(inst, j, zi) * build_nabla(inst, i)
-            rhs = build_nabla(inst, i) * build_nabla(inst, j)
-            out.append(((i, j), (lhs - rhs).first_nonzero_grade()))
-    return out
 
 
 def build_report(results, config_dict, D: int) -> dict:

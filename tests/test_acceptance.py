@@ -37,7 +37,6 @@ from qkzkit.reps import (
 )
 from qkzkit.scalar import ADDITIVE, Scalar
 from qkzkit.serialize import RunConfig
-from qkzkit.suites import _flatness_faulty
 
 
 def make_instance(nf, n=3, second_base=False):
@@ -228,7 +227,7 @@ class TestCriterion08Flatness:
 
     def test_fault_control_fails_early(self, nf_rat2):
         inst = make_instance(nf_rat2, 3)
-        grades = [g for _, g in _flatness_faulty(inst)]
+        grades = [g for _, g in check_flatness(inst, fault="drop-step-shift")]
         assert any(g is not None for g in grades)
         assert min(g for g in grades if g is not None) <= 2
 

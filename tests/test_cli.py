@@ -64,6 +64,33 @@ class TestExitCodes:
         assert failing[0]["first_failing_grade"] <= 2
         assert "identity" in failing[0]
 
+    def test_unknown_fault_is_config_error(self, tmp_path, capsys):
+        cfg = write_cfg(
+            tmp_path, "typo.json", suite="qkz", fault="drop-step-shfit"
+        )
+        assert run(["--config", cfg]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "unknown fault 'drop-step-shfit'" in err
+        assert "drop-step-shift" in err
+
+    @pytest.mark.parametrize("points, factors", [
+        (["0", "2", "5"], ["1", "1", "1"]),
+        (["1", "2", "5"], ["1", "0,1/2,0", "1"]),
+    ], ids=["point", "word-factor"])
+    def test_multiplicative_zero_is_config_error(
+        self, tmp_path, capsys, points, factors
+    ):
+        cfg = write_cfg(
+            tmp_path, "zero.json", family="trigonometric", suite="qkz",
+            instances=[{
+                "points": points,
+                "words": [{"factors": [f]} for f in factors],
+                "K": "1",
+            }],
+        )
+        assert run(["--config", cfg]) == EXIT_CONFIG
+        assert "nonzero h^0 part" in capsys.readouterr().err
+
 
 class TestReports:
     def test_report_schema(self, tmp_path):
