@@ -13,7 +13,7 @@ import sys
 from .cache import load_normalized
 from .errors import KernelError
 from .families import family_from_descriptor
-from .serialize import RunConfig, SUITES, decode_instance
+from .serialize import MIN_D, RunConfig, SUITES, decode_instance
 from .suites import (
     build_report,
     run_checks,
@@ -88,6 +88,10 @@ def run(argv=None) -> int:
             cfg.out = args.out
         if args.d_override is not None:
             cfg.D = args.d_override
+        if cfg.D < MIN_D[cfg.suite]:
+            raise KernelError(
+                f"suite {cfg.suite!r} needs D >= {MIN_D[cfg.suite]}, got {cfg.D}"
+            )
         F = family_from_descriptor(
             {"family": cfg.family, "N": cfg.N, "D": cfg.D}
         )

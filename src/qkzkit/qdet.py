@@ -27,7 +27,7 @@ from .families import (
 from .hseries import HSeries
 from .ratfn import RF_ONE, RF_ZERO, RatFn
 from .scalar import Scalar
-from .tensor import LegMatrix, LegShape, solve_linear
+from .tensor import Elimination, LegMatrix, LegShape
 
 
 def ladder_shifts(N: int, D: int) -> list[HSeries]:
@@ -78,29 +78,17 @@ def _perm_sign(p) -> int:
     return sign
 
 
-def _dot(row, vec) -> RatFn:
-    acc = RF_ZERO
-    for a, b in zip(row, vec):
-        if not a.is_zero and not b.is_zero:
-            acc = acc + a * b
-    return acc
-
-
-def _matvec(rows, vec):
-    return [_dot(r, vec) for r in rows]
-
-
-def aux_block(m: LegMatrix, a: int, b: int) -> LegMatrix:
-    """The (a, b) block of m in its first leg, as an operator on the rest."""
-    big = m.shape
-    sub = LegShape(big.dims[1:])
-    out = {}
+def aux_blocks(m: LegMatrix) -> dict:
+    """Every (a, b) block of m in its first leg, as operators on the rest,
+    split off in one pass over the entries."""
+    n = m.shape.dims[0]
+    sub = LegShape(m.shape.dims[1:])
+    parts = {(a, b): {} for a in range(n) for b in range(n)}
     for (r, c), v in m.entries.items():
-        rm = big.unravel(r)
-        cm = big.unravel(c)
-        if rm[0] == a and cm[0] == b:
-            out[(sub.ravel(rm[1:]), sub.ravel(cm[1:]))] = v
-    return LegMatrix(sub, out, m.D, m.mode)
+        a, rs = divmod(r, sub.total)
+        b, cs = divmod(c, sub.total)
+        parts[(a, b)][(rs, cs)] = v
+    return {k: LegMatrix(sub, e, m.D, m.mode) for k, e in parts.items()}
 
 
 def find_qdet_vector(F: RMatrixFamily) -> QDetData:
@@ -113,16 +101,15 @@ def find_qdet_vector(F: RMatrixFamily) -> QDetData:
     N, D = F.N, F.D
     shifts = ladder_shifts(N, D)
     big = LegShape([N] * (N + 1))
-    m = LegMatrix.identity(big, D, F.mode)
+    m = None
     for k, s in enumerate(shifts, start=1):
-        m = m * F.r(ArgShift.of_h(s)).embed(big, (1, k + 1))
+        factor = F.r(ArgShift.of_h(s)).embed(big, (1, k + 1))
+        m = factor if m is None else m * factor
 
     vshape = LegShape([N] * N)
     T = vshape.total
-    blocks = {
-        (a, b): aux_block(m, a, b) for a in range(N) for b in range(N)
-    }
-    bg = {k: [blk.grade(p) for p in range(D + 1)] for k, blk in blocks.items()}
+    blocks = aux_blocks(m)
+    keys = sorted(blocks)
 
     # h^0: the classical antisymmetrizer, lead coefficient pinned to 1
     v0 = [RF_ZERO] * T
@@ -135,44 +122,52 @@ def find_qdet_vector(F: RMatrixFamily) -> QDetData:
     if D >= 1:
         # h^1 pins the eigenvalue and must hold with no v-correction:
         # off-diagonal blocks kill v0, diagonal blocks scale it
-        lam1 = _matvec(bg[(0, 0)][1], v0)[pivot]
-        for (a, b) in sorted(blocks):
-            got = _matvec(bg[(a, b)][1], v0)
+        lam1 = blocks[(0, 0)].apply_grade(1, v0)[pivot]
+        for (a, b) in keys:
             want = [x * lam1 for x in v0] if a == b else [RF_ZERO] * T
-            if any((x - y != RF_ZERO) for x, y in zip(got, want)):
+            if blocks[(a, b)].apply_grade(1, v0) != want:
                 raise LiftFailure(
                     "h^1 ladder action does not fix the antisymmetrizer"
                 )
         lam.append(lam1)
 
-    for g in range(2, D + 1):
-        # unknowns: the T coordinates of v^{g-1}, then lam^g
+    if D >= 2:
+        # unknowns: the T coordinates of v^{g-1}, then lam^g; the left-hand
+        # side is the same at every grade g, so it is eliminated once
         rows = []
-        rhs = []
-        for (a, b) in sorted(blocks):
-            b1 = bg[(a, b)][1]
-            for r in range(T):
-                row = list(b1[r])
-                if a == b:
-                    row[r] = row[r] - lam[1]
-                row.append(-v0[r] if a == b else RF_ZERO)
-                acc = RF_ZERO
+        for (a, b) in keys:
+            brows = [{} for _ in range(T)]
+            for (r, c), v in blocks[(a, b)].entries.items():
+                if v.grades[1]:
+                    brows[r][c] = v.grades[1]
+            if a == b:
+                for r, row in enumerate(brows):
+                    x = row.pop(r, RF_ZERO) - lam[1]
+                    if x:
+                        row[r] = x
+                    if v0[r]:
+                        row[T] = -v0[r]
+            rows += brows
+        rows.append({pivot: RF_ONE})
+        lift = Elimination(rows, T + 1)
+
+        for g in range(2, D + 1):
+            rhs = []
+            for (a, b) in keys:
+                acc = [RF_ZERO] * T
                 for p in range(2, g + 1):
-                    acc = acc - _dot(bg[(a, b)][p][r], levels[g - p])
+                    part = blocks[(a, b)].apply_grade(p, levels[g - p])
+                    acc = [x - y for x, y in zip(acc, part)]
                 if a == b:
                     for p in range(2, g):
-                        acc = acc + lam[p] * levels[g - p][r]
-                rows.append(row)
-                rhs.append(acc)
-        norm_row = [RF_ZERO] * (T + 1)
-        norm_row[pivot] = RF_ONE
-        rows.append(norm_row)
-        rhs.append(RF_ZERO)
-        sol = solve_linear(rows, rhs)
-        if sol is None:
-            raise LiftFailure(f"no eigenvector correction at h-grade {g}")
-        levels.append(sol[:T])
-        lam.append(sol[T])
+                        acc = [x + lam[p] * y for x, y in zip(acc, levels[g - p])]
+                rhs += acc
+            rhs.append(RF_ZERO)
+            sol = lift.solve(rhs)
+            if sol is None:
+                raise LiftFailure(f"no eigenvector correction at h-grade {g}")
+            levels.append(sol[:T])
+            lam.append(sol[T])
 
     # the top v-grade is invisible to the truncated equations; pin it to 0
     while len(levels) < D + 1:
@@ -211,14 +206,7 @@ def qdet_apply(qd: QDetData, x_at) -> LegMatrix:
     """
     mats = [x_at(s) for s in qd.shifts]
     sub = LegShape(mats[0].shape.dims[1:])
-    blocks = [
-        {
-            (a, b): aux_block(mk, a, b)
-            for a in range(qd.N)
-            for b in range(qd.N)
-        }
-        for mk in mats
-    ]
+    blocks = [aux_blocks(mk) for mk in mats]
     out = LegMatrix.zero(sub, qd.D, qd.mode)
     for idx in sorted(qd.coeffs):
         c = qd.coeffs[idx]

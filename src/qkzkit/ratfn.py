@@ -90,6 +90,8 @@ def pmonic(a: Poly) -> Poly:
 
 
 def pgcd(a: Poly, b: Poly) -> Poly:
+    if len(a) == 1 or len(b) == 1:
+        return P_ONE  # a nonzero constant divides everything
     while b:
         a, b = b, pdivmod(a, b)[1]
     return pmonic(a)

@@ -86,6 +86,12 @@ def dict_to_word(d: dict, D: int):
 
 SUITES = ("qybe", "crossing", "normalize", "reps", "qkz", "all")
 
+#: the least truncation order D each suite can decide: qybe and qkz read
+#: the h^1 grade, and the normalize control cannot fail below h^2
+MIN_D = {
+    "qybe": 1, "crossing": 0, "normalize": 2, "reps": 0, "qkz": 1, "all": 2,
+}
+
 _CONFIG_FIELDS = {
     "family", "N", "D", "suite", "instances", "out", "jobs", "fault",
 }

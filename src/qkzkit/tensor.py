@@ -286,16 +286,31 @@ class LegMatrix:
                 out[r] = out[r] + v * vec[c]
         return out
 
+    def apply_grade(self, m: int, vec) -> list:
+        """The m-th h-grade applied to a vector of RatFns, visiting only
+        the nonzero entries."""
+        out = [RF_ZERO] * self.shape.total
+        for (r, c), v in self.entries.items():
+            x, y = v.grades[m], vec[c]
+            if x and y:
+                out[r] = out[r] + x * y
+        return out
+
     def nullspace(self):
         """Basis of the exact kernel, computed grade-by-grade in h.
 
         Solves the h^0 kernel over the rational-function field, then lifts
-        order-by-order; each returned vector v satisfies A v = 0 exactly to
-        order D.  Raises LiftFailure on a rank drop that admits no lift.
+        order-by-order, replaying the one h^0 elimination for every lift;
+        each returned vector v satisfies A v = 0 exactly to order D.
+        Raises LiftFailure on a rank drop that admits no lift.
         """
         n = self.shape.total
-        grades = [self.grade(m) for m in range(self.D + 1)]
-        kern0 = kernel_basis(grades[0], n)
+        rows0 = [{} for _ in range(n)]
+        for (r, c), v in self.entries.items():
+            if v.grades[0]:
+                rows0[r][c] = v.grades[0]
+        h0 = Elimination(rows0, n)
+        kern0 = h0.kernel()
         if not kern0:
             return []
         # echelonize so each basis vector leads at a distinct coordinate and
@@ -313,16 +328,9 @@ class LegMatrix:
             for m in range(1, self.D + 1):
                 rhs = [RF_ZERO] * n
                 for k in range(1, m + 1):
-                    gk = grades[k]
-                    prev = levels[m - k]
-                    for r in range(n):
-                        acc = rhs[r]
-                        row = gk[r]
-                        for c in range(n):
-                            if not row[c].is_zero and not prev[c].is_zero:
-                                acc = acc + row[c] * prev[c]
-                        rhs[r] = acc
-                sol = solve_linear(grades[0], [-x for x in rhs])
+                    part = self.apply_grade(k, levels[m - k])
+                    rhs = [x + y for x, y in zip(rhs, part)]
+                sol = h0.solve([-x for x in rhs])
                 if sol is None:
                     raise LiftFailure(f"no lift at h-grade {m}")
                 # fix the kernel freedom: zero out every h^0-pivot coordinate
@@ -344,67 +352,124 @@ class LegMatrix:
 
 # -- exact linear algebra over the rational-function field -------------
 
+class Elimination:
+    """Sparse Gauss-Jordan elimination of a RatFn matrix that records its
+    row operations.
+
+    rows are sparse ({col: RatFn}, zeros omitted) and are reduced in place
+    to reduced row echelon form in their first ncols columns; entries at
+    columns >= ncols ride along but are never pivoted on.  Columns are
+    taken left to right and the first row that can pivot is chosen, so the
+    pivot columns, the reduced pivot rows and the solutions are those of
+    the dense textbook algorithm; only the nonzero entries of a pivot row
+    are touched.
+
+    Step k is recorded as (pivot row, inverse lead, [(row, factor), ...]):
+    scale the pivot row by the inverse lead, then subtract factor times it
+    from each listed row.  solve() replays the same steps on a right-hand
+    side, so one elimination serves every right-hand side.
+    """
+
+    def __init__(self, rows, ncols: int):
+        self.rows = rows
+        self.ncols = ncols
+        self.pivots = []  # (column, row) per step
+        self.steps = []
+        where: dict = {}  # column -> rows with a nonzero entry there
+        for i, row in enumerate(rows):
+            for c in row:
+                where.setdefault(c, set()).add(i)
+        done = set()
+        for c in range(ncols):
+            cands = where.get(c, set()) - done
+            if not cands:
+                continue
+            p = min(cands)
+            inv = rows[p][c].inv()
+            prow = {k: v * inv for k, v in rows[p].items()}
+            rows[p] = prow
+            elims = []
+            for t in sorted(where[c] - {p}):
+                trow = rows[t]
+                f = trow.pop(c)
+                for k, v in prow.items():
+                    if k == c:
+                        continue
+                    x = trow.get(k)
+                    if x is None:
+                        trow[k] = -(f * v)
+                        where.setdefault(k, set()).add(t)
+                        continue
+                    x = x - f * v
+                    if x:
+                        trow[k] = x
+                    else:
+                        del trow[k]
+                        where[k].discard(t)
+                elims.append((t, f))
+            where[c] = {p}
+            done.add(p)
+            self.pivots.append((c, p))
+            self.steps.append((p, inv, elims))
+
+    def solve(self, rhs):
+        """The solution of rows @ x = rhs (one rhs entry per row) with every
+        free variable 0, or None when a non-pivot row of the replayed rhs
+        is nonzero."""
+        b = list(rhs)
+        for p, inv, elims in self.steps:
+            v = b[p]
+            if not v:
+                continue
+            v = v * inv
+            b[p] = v
+            for t, f in elims:
+                b[t] = b[t] - f * v
+        pivot_rows = {p for _, p in self.pivots}
+        if any(x for i, x in enumerate(b) if i not in pivot_rows):
+            return None
+        x = [RF_ZERO] * self.ncols
+        for c, p in self.pivots:
+            x[c] = b[p]
+        return x
+
+    def kernel(self):
+        """Kernel basis, one vector per free column (1 there, 0 at the
+        other free columns)."""
+        pivot_cols = {c for c, _ in self.pivots}
+        basis = []
+        for f in range(self.ncols):
+            if f in pivot_cols:
+                continue
+            v = [RF_ZERO] * self.ncols
+            v[f] = RF_ONE
+            for c, p in self.pivots:
+                v[c] = -self.rows[p].get(f, RF_ZERO)
+            basis.append(v)
+        return basis
+
+
+def _sparse(rows):
+    return [{c: x for c, x in enumerate(row) if x} for row in rows]
+
+
 def rref(rows, ncols: int):
     """Reduced row echelon form in place; returns pivot column list."""
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, len(rows)):
-            if not rows[i][c].is_zero:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        lead = rows[r][c].inv()
-        rows[r] = [x * lead for x in rows[r]]
-        for i in range(len(rows)):
-            if i == r or rows[i][c].is_zero:
-                continue
-            f = rows[i][c]
-            rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return pivots
+    width = len(rows[0]) if rows else 0
+    e = Elimination(_sparse(rows), ncols)
+    order = [p for _, p in e.pivots]
+    used = set(order)
+    order += [i for i in range(len(rows)) if i not in used]
+    rows[:] = [[e.rows[i].get(c, RF_ZERO) for c in range(width)] for i in order]
+    return [c for c, _ in e.pivots]
 
 
 def kernel_basis(matrix, ncols: int):
     """Kernel basis of a dense RatFn matrix over the RatFn field."""
-    rows = [list(r) for r in matrix if any(not x.is_zero for x in r)]
-    if not rows:
-        return [
-            [RF_ONE if i == j else RF_ZERO for i in range(ncols)]
-            for j in range(ncols)
-        ]
-    pivots = rref(rows, ncols)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [RF_ZERO] * ncols
-        v[f] = RF_ONE
-        for r, p in enumerate(pivots):
-            v[p] = -rows[r][f]
-        basis.append(v)
-    return basis
+    return Elimination(_sparse(matrix), ncols).kernel()
 
 
 def solve_linear(matrix, b):
     """One solution x of matrix @ x = b over the RatFn field, or None."""
     ncols = len(matrix[0]) if matrix else 0
-    rows = []
-    for row, rhs in zip(matrix, b):
-        if any(not x.is_zero for x in row) or not rhs.is_zero:
-            rows.append(list(row) + [rhs])
-    if not rows:
-        return [RF_ZERO] * ncols
-    pivots = rref(rows, ncols)
-    for row in rows[len(pivots):]:
-        if not row[ncols].is_zero:
-            return None
-    x = [RF_ZERO] * ncols
-    for r, p in enumerate(pivots):
-        x[p] = rows[r][ncols]
-    return x
+    return Elimination(_sparse(matrix), ncols).solve(b)

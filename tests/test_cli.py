@@ -73,6 +73,17 @@ class TestExitCodes:
         assert "unknown fault 'drop-step-shfit'" in err
         assert "drop-step-shift" in err
 
+    @pytest.mark.parametrize("suite, d", [("qybe", 0), ("normalize", 1)])
+    def test_d_below_suite_minimum_is_config_error(
+        self, tmp_path, capsys, suite, d
+    ):
+        # qybe at D=0 used to crash classical-ybe with IndexError; normalize
+        # at D=1 used to fail pairing-qdet-control on a correct kernel
+        cfg = write_cfg(tmp_path, "low.json", suite=suite)
+        assert run(["--config", cfg, "--d-override", str(d)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"suite {suite!r} needs D >= {d + 1}, got {d}" in err
+
     @pytest.mark.parametrize("points, factors", [
         (["0", "2", "5"], ["1", "1", "1"]),
         (["1", "2", "5"], ["1", "0,1/2,0", "1"]),

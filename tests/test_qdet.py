@@ -6,6 +6,7 @@ from qkzkit.errors import NonUnitError
 from qkzkit.families import ArgShift, shift_scalar
 from qkzkit.hseries import HSeries
 from qkzkit.qdet import (
+    NormalizedFamily,
     _perm_sign,
     check_pairing_qdet,
     compute_rho,
@@ -13,8 +14,10 @@ from qkzkit.qdet import (
     ladder_shifts,
     solve_f0,
 )
-from qkzkit.ratfn import RatFn
+from qkzkit.ratfn import RF_ONE, RF_ZERO, RatFn
 from qkzkit.scalar import Scalar
+from qkzkit.suites import run_checks, suite_normalize
+from qkzkit.tensor import Elimination
 
 
 class TestLadderShifts:
@@ -53,6 +56,20 @@ class TestEigenvector:
         for F in (rat2, trig):
             qd = find_qdet_vector(F)
             assert qd.eigenvalue.is_unit
+
+    def test_grade_lift_eliminates_once(self, rat3, monkeypatch):
+        # the left-hand side of the lift is the same at every grade, so one
+        # elimination must serve grades 2..D (D=4 here)
+        calls = []
+        init = Elimination.__init__
+
+        def counting(self, rows, ncols):
+            calls.append(ncols)
+            init(self, rows, ncols)
+
+        monkeypatch.setattr(Elimination, "__init__", counting)
+        find_qdet_vector(rat3)
+        assert calls == [3 ** 3 + 1]
 
 
 class TestRho:
@@ -94,6 +111,24 @@ class TestNormalizedFamily:
     def test_unitarity_exact(self, name, request):
         nf = request.getfixturevalue(name)
         assert nf.unitarity_scalar() == Scalar.one(nf.D, nf.mode)
+
+    @pytest.mark.parametrize("name", ["nf_rat2", "nf_trig"])
+    def test_suite_reports_the_failing_grade(self, name, request):
+        # f0 + h^3 moves rho-bar by N h^3 and phi-bar by 2 h^3
+        nf = request.getfixturevalue(name)
+        grades = [RF_ZERO] * (nf.D + 1)
+        grades[3] = RF_ONE
+        bump = Scalar(grades, nf.mode)
+        bad = NormalizedFamily(nf.family, nf.qdet, nf.rho, nf.f0 + bump)
+        specs = [
+            s for s in suite_normalize(bad)
+            if s[0] in ("normalized-qdet", "normalized-unitarity")
+        ]
+        results = run_checks(specs)
+        assert [r.name for r in results] == [
+            "normalized-qdet", "normalized-unitarity",
+        ]
+        assert [r.status for r in results] == ["fails-at-grade-3"] * 2
 
     @pytest.mark.parametrize("name", ["nf_rat2", "nf_trig"])
     def test_crossing_on_the_nose(self, name, request):

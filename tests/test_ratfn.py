@@ -6,10 +6,16 @@ from hypothesis import strategies as st
 
 from qkzkit.errors import PoleError
 from qkzkit.ratfn import (
+    P_ONE,
     RF_ONE,
     RF_W,
     RF_ZERO,
     RatFn,
+    pdivmod,
+    pgcd,
+    pmonic,
+    pmul,
+    ptrim,
     ratfn_to_str,
     str_to_ratfn,
 )
@@ -56,6 +62,46 @@ class TestCanonicalForm:
 
         scaled = RatFn(pmul(r.num, g), pmul(r.den, g))
         assert scaled == r
+
+
+def euclid_gcd(a, b):
+    """Monic gcd by the plain Euclidean algorithm, with no shortcut."""
+    while b:
+        a, b = b, pdivmod(a, b)[1]
+    return pmonic(a)
+
+
+def euclid_canonical(num, den):
+    """(num, den) reduced by euclid_gcd, denominator made monic."""
+    g = euclid_gcd(num, den)
+    num, den = pdivmod(num, g)[0], pdivmod(den, g)[0]
+    return tuple(c / den[-1] for c in num), pmonic(den)
+
+
+constants = fracs.filter(lambda c: c != 0).map(lambda c: (c,))
+nonzero_polys = polys.map(ptrim).filter(bool)
+
+
+class TestConstantGcd:
+    @given(constants, polys.map(ptrim))
+    @settings(max_examples=60, deadline=None)
+    def test_pgcd_with_a_constant_is_euclidean(self, c, p):
+        assert pgcd(c, p) == euclid_gcd(c, p) == P_ONE
+        assert pgcd(p, c) == euclid_gcd(p, c) == P_ONE
+
+    @given(nonzero_polys, nonzero_polys, nonzero_polys)
+    @settings(max_examples=60, deadline=None)
+    def test_pgcd_with_a_common_factor_is_euclidean(self, a, b, g):
+        # the shortcut must not fire once a side has positive degree
+        a, b = pmul(a, g), pmul(b, g)
+        assert pgcd(a, b) == euclid_gcd(a, b)
+
+    @given(constants, nonzero_polys)
+    @settings(max_examples=60, deadline=None)
+    def test_canonical_form_with_a_constant_side(self, c, p):
+        for num, den in ((c, p), (p, c)):
+            r = RatFn(num, den)
+            assert (r.num, r.den) == euclid_canonical(num, den)
 
 
 class TestFieldAxioms:

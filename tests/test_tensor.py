@@ -1,11 +1,14 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qkzkit.errors import ShapeMismatch, SingularMatrix
 from qkzkit.ratfn import RF_ONE, RF_ZERO, RatFn
 from qkzkit.scalar import Scalar
 from qkzkit.tensor import (
+    Elimination,
     LegMatrix,
     LegShape,
     kernel_basis,
@@ -175,3 +178,81 @@ class TestFieldLinearAlgebra:
     def test_solve_linear_inconsistent(self):
         mat = [[rf(1), rf(1)], [rf(2), rf(2)]]
         assert solve_linear(mat, [rf(1), rf(3)]) is None
+
+
+# entries (a + b w) / (c + w), zero about half the time so rows are sparse
+small = st.integers(-3, 3).map(Fraction)
+entries = st.one_of(
+    st.just(RF_ZERO),
+    st.tuples(small, small, small).map(
+        lambda t: RatFn((t[0], t[1]), (t[2], Fraction(1)))
+    ),
+)
+
+
+def matvec(mat, x):
+    out = []
+    for row in mat:
+        acc = RF_ZERO
+        for a, b in zip(row, x):
+            acc = acc + a * b
+        out.append(acc)
+    return out
+
+
+class TestEliminationReplay:
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_replay_matches_fresh_solve(self, data):
+        nrows = data.draw(st.integers(1, 4))
+        ncols = data.draw(st.integers(1, 4))
+        mat = [
+            [data.draw(entries) for _ in range(ncols)] for _ in range(nrows)
+        ]
+        mat.append(list(mat[0]))  # repeated, so a rhs can be inconsistent
+        sparse = [{c: x for c, x in enumerate(r) if x} for r in mat]
+        e = Elimination(sparse, ncols)
+        x0 = [data.draw(entries) for _ in range(ncols)]
+        consistent = matvec(mat, x0)
+        inconsistent = consistent[:-1] + [consistent[-1] + RF_ONE]
+        arbitrary = [data.draw(entries) for _ in mat]
+        for b in (consistent, arbitrary, inconsistent, consistent):
+            got = e.solve(b)
+            assert got == solve_linear(mat, b)
+            if got is not None:
+                assert matvec(mat, got) == b
+        assert e.solve(consistent) is not None
+        assert e.solve(inconsistent) is None
+
+
+def test_solve_linear_sympy_oracle():
+    sympy = pytest.importorskip("sympy")
+    w = sympy.Symbol("w")
+
+    def to_sympy(r):
+        num = sum(sympy.Rational(c.numerator, c.denominator) * w**k
+                  for k, c in enumerate(r.num))
+        den = sum(sympy.Rational(c.numerator, c.denominator) * w**k
+                  for k, c in enumerate(r.den))
+        return num / den
+
+    def rfn(num, den=(1,)):
+        return RatFn(tuple(map(Fraction, num)), tuple(map(Fraction, den)))
+
+    r0 = [rfn((1,), (1, 1)), rfn((0, 1)), rfn((2,)), rfn((0, 0, 1), (-2, 1))]
+    r1 = [rfn((0, 1)), rfn((1,)), rfn((1,), (-2, 1)), rfn((3, 1), (5, 1))]
+    r2 = [a + RatFn((Fraction(0), Fraction(1))) * b for a, b in zip(r0, r1)]
+    mat = [r0, r1, r2]  # rank 2: the third row is r0 + w r1, so x_3 is free
+    b = [rfn((1,)), rfn((0, 1), (1, 1)), RF_ZERO]
+    b[2] = b[0] + RatFn((Fraction(0), Fraction(1))) * b[1]
+    x = solve_linear(mat, b)
+
+    aug = sympy.Matrix([[to_sympy(e) for e in row] for row in mat])
+    aug = aug.row_join(sympy.Matrix([to_sympy(e) for e in b]))
+    red, pivots = aug.rref(simplify=sympy.cancel)
+    assert list(pivots) == [0, 1]
+    want = [sympy.Integer(0)] * 4
+    for r, p in enumerate(pivots):
+        want[p] = red[r, 4]
+    assert [sympy.cancel(to_sympy(a) - b) for a, b in zip(x, want)] == [0] * 4
+    assert not x[2] and not x[3]
