@@ -257,6 +257,21 @@ def _build_trigonometric_matrix(D: int) -> LegMatrix:
     return LegMatrix(shape, entries, D, MULTIPLICATIVE)
 
 
+# -- the ladder of R-factors on an auxiliary leg ------------------------
+
+def ladder(F, offs, value: bool = False) -> LegMatrix:
+    """R^{1,2}(off_1) R^{1,3}(off_2) ... on legs [N]^(1+len(offs)), leg 1
+    auxiliary, for a raw or a normalized family F; value=True substitutes
+    each argument fully (F.r_value) instead of displacing it (F.r).  The
+    product starts from its first factor; an empty offs gives Id on [N]."""
+    big = LegShape([F.N] * (1 + len(offs)))
+    out = None
+    for k, off in enumerate(offs, start=2):
+        factor = (F.r_value(off) if value else F.r(off)).embed(big, (1, k))
+        out = factor if out is None else out * factor
+    return LegMatrix.identity(big, F.D, F.mode) if out is None else out
+
+
 # -- sample handling ---------------------------------------------------
 
 def _delta(F: RMatrixFamily, a: Fraction, b: Fraction) -> ArgShift:
@@ -322,9 +337,9 @@ def check_qybe(F: RMatrixFamily, samples=None):
 def check_crossing(F: RMatrixFamily):
     """Crossing symmetry: both transpose-invert forms agree and are a scalar
     multiple g of R displaced by N*h; returns (g, report dict)."""
-    r = F.base
-    x = r.inv().partial_transpose(1).inv().partial_transpose(1)
-    y = r.inv().partial_transpose(2).inv().partial_transpose(2)
+    r_inv = F.base.inv()
+    x = r_inv.partial_transpose(1).inv().partial_transpose(1)
+    y = r_inv.partial_transpose(2).inv().partial_transpose(2)
     forms_equal = (x - y).is_zero
     shifted = F.r(ArgShift.of_h(F.crossing_hshift))
     g = None

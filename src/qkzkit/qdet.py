@@ -19,6 +19,7 @@ from .families import (
     RMatrixFamily,
     displaced,
     extract_scalar,
+    ladder,
     shift_scalar,
     shift_sub,
     unitarity_scalar,
@@ -100,11 +101,7 @@ def find_qdet_vector(F: RMatrixFamily) -> QDetData:
     """
     N, D = F.N, F.D
     shifts = ladder_shifts(N, D)
-    big = LegShape([N] * (N + 1))
-    m = None
-    for k, s in enumerate(shifts, start=1):
-        factor = F.r(ArgShift.of_h(s)).embed(big, (1, k + 1))
-        m = factor if m is None else m * factor
+    m = ladder(F, [ArgShift.of_h(s) for s in shifts])
 
     vshape = LegShape([N] * N)
     T = vshape.total
@@ -327,19 +324,16 @@ def check_pairing_qdet(nf: NormalizedFamily, points, y=Fraction(0), raw=False):
     action is exactly the identity.  With raw=True the un-rescaled family
     is used instead, which is the control that the normalization matters.
     """
-    n = len(points)
     N, D = nf.N, nf.D
-    big = LegShape([N] * (n + 1))
-    src = (lambda off: nf.family.r(off)) if raw else nf.r
+    src = nf.family if raw else nf
 
     def x_at(s):
-        out = LegMatrix.identity(big, D, nf.mode)
-        for j, a in enumerate(points, start=1):
-            # the argument w + s + y - a
-            off = shift_sub(ArgShift(Fraction(y), s), ArgShift.of(a, D), nf.mode)
-            out = out * src(off).embed(big, (1, j + 1))
-        return out
+        # the arguments w + s + y - a
+        here = ArgShift(Fraction(y), s)
+        return ladder(
+            src, [shift_sub(here, ArgShift.of(a, D), nf.mode) for a in points]
+        )
 
     result = qdet_apply(nf.qdet, x_at)
-    ident = LegMatrix.identity(LegShape([N] * n), D, nf.mode)
+    ident = LegMatrix.identity(LegShape([N] * len(points)), D, nf.mode)
     return (result - ident).first_nonzero_grade()

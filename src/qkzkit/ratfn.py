@@ -168,6 +168,11 @@ class RatFn:
         return bool(self.num)
 
     @property
+    def is_unit(self) -> bool:
+        """Every nonzero element of the field is a unit."""
+        return bool(self.num)
+
+    @property
     def is_poly(self) -> bool:
         return self.den == P_ONE
 

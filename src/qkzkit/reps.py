@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ShapeMismatch
-from .families import ArgShift, shift_add, shift_sub
+from .families import ArgShift, ladder, shift_add, shift_sub
 from .hseries import HSeries
 from .qdet import NormalizedFamily
 from .tensor import LegMatrix, LegShape
@@ -111,34 +111,27 @@ def check_hexagon(
 
     Splitting the left word at every position and splitting the right word
     at every position must reproduce the recursively built R_VW; returns
-    the first failing description, or None.
+    the least first nonzero grade of the differences over all splits, or
+    None.
     """
     full = build_rvw(nf, vword, wword, off)
-    big = full.shape
-    p, q = len(vword), len(wword)
-    for cut in range(1, p):
-        left = ComoduleWord(vword.letters[:cut])
-        right = ComoduleWord(vword.letters[cut:])
-        a = build_rvw(nf, right, wword, off).embed(
-            big, tuple(range(cut + 1, p + q + 1))
-        )
-        b = build_rvw(nf, left, wword, off).embed(
-            big, tuple(range(1, cut + 1)) + tuple(range(p + 1, p + q + 1))
-        )
-        if not (a * b - full).is_zero:
-            return f"left split at {cut}"
-    for cut in range(1, q):
-        left = ComoduleWord(wword.letters[:cut])
-        right = ComoduleWord(wword.letters[cut:])
-        a = build_rvw(nf, vword, left, off).embed(
-            big, tuple(range(1, p + cut + 1))
-        )
-        b = build_rvw(nf, vword, right, off).embed(
-            big, tuple(range(1, p + 1)) + tuple(range(p + cut + 1, p + q + 1))
-        )
-        if not (a * b - full).is_zero:
-            return f"right split at {cut}"
-    return None
+    v, w = vword.letters, wword.letters
+    vlegs = tuple(range(1, len(v) + 1))
+    wlegs = tuple(range(len(v) + 1, len(v) + len(w) + 1))
+
+    def part(vl, wl, legs):
+        m = build_rvw(nf, ComoduleWord(vl), ComoduleWord(wl), off)
+        return m.embed(full.shape, legs)
+
+    pairs = [
+        (part(v[c:], w, vlegs[c:] + wlegs), part(v[:c], w, vlegs[:c] + wlegs))
+        for c in range(1, len(v))
+    ] + [
+        (part(v, w[:c], vlegs + wlegs[:c]), part(v, w[c:], vlegs + wlegs[c:]))
+        for c in range(1, len(w))
+    ]
+    grades = [(a * b - full).first_nonzero_grade() for a, b in pairs]
+    return min((g for g in grades if g is not None), default=None)
 
 
 def check_braid_relation(
@@ -178,18 +171,15 @@ def build_L(
     """The evaluation operator of a word on legs [N]^(1+len); leg 1 is the
     auxiliary leg, and the factors Rbar(w - a_k) multiply left-to-right in
     word order."""
-    n = len(word)
-    big = LegShape([nf.N] * (n + 1))
     mode = nf.mode
-    if off is None:
-        off = ArgShift.none(nf.D)
-    out = LegMatrix.identity(big, nf.D, nf.mode)
     neutral = ArgShift.none(nf.D)
-    for k, a in enumerate(word.letters, start=1):
-        arg = shift_add(off, shift_sub(neutral, a, mode), mode)
-        base = nf.r_value(arg) if value else nf.r(arg)
-        out = out * base.embed(big, (1, k + 1))
-    return out
+    if off is None:
+        off = neutral
+    return ladder(
+        nf,
+        [shift_add(off, shift_sub(neutral, a, mode), mode) for a in word.letters],
+        value,
+    )
 
 
 def check_rvw_unitarity(

@@ -76,6 +76,9 @@ class Scalar:
     def is_zero(self) -> bool:
         return all(g.is_zero for g in self.grades)
 
+    def __bool__(self) -> bool:
+        return not self.is_zero
+
     @property
     def is_unit(self) -> bool:
         return not self.grades[0].is_zero

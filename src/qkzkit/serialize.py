@@ -170,6 +170,10 @@ def decode_instance(d: dict, nf, D: int):
 
     points = tuple(str_to_argshift(t, D) for t in d["points"])
     words = tuple(dict_to_word(w, D) for w in d["words"])
+    if not points:
+        raise KernelError("an instance needs at least one point")
+    if any(len(w) == 0 for w in words):
+        raise KernelError("every word needs at least one factor")
     if nf.mode == MULTIPLICATIVE:
         for a in points + tuple(a for w in words for a in w.letters):
             if a.const == 0:

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import __version__
-from .errors import KernelError
 from .families import (
     ArgShift,
     RMatrixFamily,
@@ -205,7 +204,7 @@ def suite_reps(nf: NormalizedFamily):
     return [
         ("hexagon",
          "both hexagon groupings rebuild the two-word matrix",
-         lambda: _str_check(check_hexagon(nf, v, w, off))),
+         lambda: check_hexagon(nf, v, w, off)),
         ("rvw-unitarity",
          "two-word matrix times its swapped reflection is the identity",
          lambda: check_rvw_unitarity(nf, v, w, off)),
@@ -216,12 +215,6 @@ def suite_reps(nf: NormalizedFamily):
          "braiding intertwines the evaluation operators",
          lambda: check_intertwiner(nf, e, w, off)),
     ]
-
-
-def _str_check(result):
-    if result is None:
-        return None
-    raise KernelError(result)
 
 
 def default_instance(nf: NormalizedFamily, n: int = 3) -> QKZInstance:

@@ -211,44 +211,27 @@ class LegMatrix:
 
     # -- inversion ----------------------------------------------------
     def inv(self) -> "LegMatrix":
-        """Exact inverse by Gaussian elimination with unit pivots.
+        """Exact inverse by Gauss-Jordan elimination with unit pivots.
 
-        Pivot selection: first row whose candidate has nonzero h^0 grade,
-        lowest row index first, so elimination traces are reproducible.
+        Eliminates the sparse augmented rows [self | Id]; the identity
+        columns ride along and the inverse is read from the pivot rows.
+        Raises SingularMatrix naming the first column with no unit pivot.
         """
         n = self.shape.total
-        zero = Scalar.zero(self.D, self.mode)
-        a = [[self.get(r, c) for c in range(n)] for r in range(n)]
-        b = [
-            [Scalar.one(self.D, self.mode) if r == c else zero for c in range(n)]
-            for r in range(n)
-        ]
-        for col in range(n):
-            piv = None
-            for r in range(col, n):
-                if a[r][col].is_unit:
-                    piv = r
-                    break
-            if piv is None:
-                raise SingularMatrix(f"no unit pivot in column {col}")
-            if piv != col:
-                a[col], a[piv] = a[piv], a[col]
-                b[col], b[piv] = b[piv], b[col]
-            inv_p = a[col][col].inv()
-            a[col] = [x * inv_p for x in a[col]]
-            b[col] = [x * inv_p for x in b[col]]
-            for r in range(n):
-                if r == col or a[r][col].is_zero:
-                    continue
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-                b[r] = [x - f * y for x, y in zip(b[r], b[col])]
-        return LegMatrix(
-            self.shape,
-            {(r, c): b[r][c] for r in range(n) for c in range(n)},
-            self.D,
-            self.mode,
-        )
+        one = Scalar.one(self.D, self.mode)
+        rows = [{n + r: one} for r in range(n)]
+        for (r, c), v in self.entries.items():
+            rows[r][c] = v
+        e = Elimination(rows, n)
+        if len(e.pivots) < n:
+            col = min(set(range(n)) - {c for c, _ in e.pivots})
+            raise SingularMatrix(f"no unit pivot in column {col}")
+        out = {}
+        for c, p in e.pivots:
+            for k, v in e.rows[p].items():
+                if k >= n:
+                    out[(c, k - n)] = v
+        return LegMatrix(self.shape, out, self.D, self.mode)
 
     def theta(self) -> "LegMatrix":
         """(X^{-1}) transposed in leg 1."""
@@ -350,19 +333,20 @@ class LegMatrix:
         return f"LegMatrix({self.shape!r}, nnz={len(self.entries)})"
 
 
-# -- exact linear algebra over the rational-function field -------------
+# -- exact elimination: over the RatFn field, and over Scalar by units --
 
 class Elimination:
-    """Sparse Gauss-Jordan elimination of a RatFn matrix that records its
-    row operations.
+    """Sparse Gauss-Jordan elimination that records its row operations.
 
-    rows are sparse ({col: RatFn}, zeros omitted) and are reduced in place
-    to reduced row echelon form in their first ncols columns; entries at
-    columns >= ncols ride along but are never pivoted on.  Columns are
-    taken left to right and the first row that can pivot is chosen, so the
-    pivot columns, the reduced pivot rows and the solutions are those of
-    the dense textbook algorithm; only the nonzero entries of a pivot row
-    are touched.
+    Entries are RatFns (a field) or Scalars (a local ring, where only a
+    unit can pivot).  rows are sparse ({col: entry}, zeros omitted) and are
+    reduced in place to reduced row echelon form in their first ncols
+    columns; entries at columns >= ncols ride along but are never pivoted
+    on.  Columns are taken left to right; a column pivots on the
+    lowest-index remaining row whose entry is a unit and is skipped when
+    there is none, so over RatFn the pivot columns, the reduced pivot rows
+    and the solutions are those of the dense textbook algorithm; only the
+    nonzero entries of a pivot row are touched.
 
     Step k is recorded as (pivot row, inverse lead, [(row, factor), ...]):
     scale the pivot row by the inverse lead, then subtract factor times it
@@ -381,10 +365,13 @@ class Elimination:
                 where.setdefault(c, set()).add(i)
         done = set()
         for c in range(ncols):
-            cands = where.get(c, set()) - done
-            if not cands:
+            cands = where.get(c, ())
+            p = min(
+                (i for i in cands if i not in done and rows[i][c].is_unit),
+                default=None,
+            )
+            if p is None:
                 continue
-            p = min(cands)
             inv = rows[p][c].inv()
             prow = {k: v * inv for k, v in rows[p].items()}
             rows[p] = prow
@@ -396,15 +383,11 @@ class Elimination:
                     if k == c:
                         continue
                     x = trow.get(k)
-                    if x is None:
-                        trow[k] = -(f * v)
-                        where.setdefault(k, set()).add(t)
-                        continue
-                    x = x - f * v
+                    x = -(f * v) if x is None else x - f * v
                     if x:
                         trow[k] = x
-                    else:
-                        del trow[k]
+                        where.setdefault(k, set()).add(t)
+                    elif trow.pop(k, None) is not None:
                         where[k].discard(t)
                 elims.append((t, f))
             where[c] = {p}

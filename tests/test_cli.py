@@ -103,6 +103,22 @@ class TestExitCodes:
         assert "nonzero h^0 part" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("instance, message", [
+        ({"points": [], "words": []}, "at least one point"),
+        ({"points": ["0", "1"], "words": [{"factors": ["0"]}, {"factors": []}]},
+         "at least one factor"),
+    ], ids=["no-points", "empty-word"])
+    def test_degenerate_instance_is_config_error(
+        self, tmp_path, capsys, instance, message
+    ):
+        # no points used to pass with three vacuous checks; an empty word
+        # used to exit 1 with four checks in error
+        cfg = write_cfg(tmp_path, "empty.json", suite="qkz",
+                        instances=[instance])
+        assert run(["--config", cfg]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+
+
 class TestReports:
     def test_report_schema(self, tmp_path):
         cfg = write_cfg(tmp_path, "ok.json")

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from qkzkit.errors import NonUnitError
-from qkzkit.families import ArgShift, shift_scalar
+from qkzkit.families import ArgShift, build_rational, shift_scalar
 from qkzkit.hseries import HSeries
 from qkzkit.qdet import (
     NormalizedFamily,
@@ -12,12 +12,13 @@ from qkzkit.qdet import (
     compute_rho,
     find_qdet_vector,
     ladder_shifts,
+    normalize,
     solve_f0,
 )
 from qkzkit.ratfn import RF_ONE, RF_ZERO, RatFn
 from qkzkit.scalar import Scalar
 from qkzkit.suites import run_checks, suite_normalize
-from qkzkit.tensor import Elimination
+from qkzkit.tensor import Elimination, LegMatrix
 
 
 class TestLadderShifts:
@@ -148,6 +149,21 @@ class TestPairing:
         )
         assert check_pairing_qdet(nf, pts1) is None
         assert check_pairing_qdet(nf, pts2) is None
+
+    def test_ladders_start_from_their_first_factor(self, monkeypatch):
+        # N = 2: two products in the contraction and one per ladder (N
+        # ladders of two factors); multiplying Id in first took N more
+        nf = normalize(build_rational(2, 2))
+        calls = []
+        mul = LegMatrix.__mul__
+
+        def counting(a, b):
+            calls.append(1)
+            return mul(a, b)
+
+        monkeypatch.setattr(LegMatrix, "__mul__", counting)
+        assert check_pairing_qdet(nf, [Fraction(1), Fraction(5, 2)]) is None
+        assert len(calls) == 4
 
     @pytest.mark.parametrize("name", ["nf_rat2", "nf_trig"])
     def test_unnormalized_control_fails(self, name, request):

@@ -126,6 +126,13 @@ class TestFieldAxioms:
         with pytest.raises(ZeroDivisionError):
             RF_ZERO.inv()
 
+    @given(ratfns())
+    @settings(max_examples=60, deadline=None)
+    def test_units_are_the_nonzero_elements(self, a):
+        # the elimination pivots on is_unit; in the field that is a != 0
+        assert a.is_unit == bool(a) == (not a.is_zero)
+        assert not RF_ZERO.is_unit
+
 
 class TestEvaluationOracle:
     # arithmetic on canonical forms agrees with Fraction arithmetic at points

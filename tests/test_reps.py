@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from qkzkit import reps
 from qkzkit.families import ArgShift
 from qkzkit.reps import (
     ComoduleWord,
@@ -16,6 +17,8 @@ from qkzkit.reps import (
     shift_add,
     shift_sub,
 )
+from qkzkit.scalar import Scalar
+from qkzkit.suites import run_checks, suite_reps
 from qkzkit.tensor import LegMatrix, LegShape
 
 
@@ -53,6 +56,28 @@ class TestBuildRvw:
         v, w, off = words_for(nf)
         assert check_hexagon(nf, v, w, off) is None
         assert check_hexagon(nf, w, v, off) is None
+
+    @pytest.mark.parametrize("name", ["nf_rat2", "nf_trig"])
+    def test_hexagon_reports_the_failing_grade(self, name, request,
+                                               monkeypatch):
+        # one-letter V words get + h^3 Id, so every left split of the
+        # two-letter V is off by 2 h^3 Id + O(h^4) from the unchanged R_VW
+        nf = request.getfixturevalue(name)
+        v, w, off = words_for(nf)
+        plain = reps.build_rvw
+
+        def bumped(nf, vword, wword, off=None, value=False):
+            m = plain(nf, vword, wword, off, value)
+            if len(vword) != 1:
+                return m
+            ident = LegMatrix.identity(m.shape, m.D, m.mode)
+            return m + ident.mul_scalar(Scalar.one(m.D, m.mode).times_h(3))
+
+        monkeypatch.setattr(reps, "build_rvw", bumped)
+        assert check_hexagon(nf, v, w, off) == 3
+        specs = [s for s in suite_reps(nf) if s[0] == "hexagon"]
+        [result] = run_checks(specs)
+        assert result.status == "fails-at-grade-3"
 
     @pytest.mark.parametrize("name", ["nf_rat2", "nf_trig"])
     def test_unitarity(self, name, request):
@@ -124,3 +149,15 @@ class TestEvaluationOperator:
         a = nf.r(ArgShift.of(Fraction(-1), nf.D)).embed(big, (1, 2))
         b = nf.r(ArgShift.of(Fraction(-2), nf.D)).embed(big, (1, 3))
         assert build_L(nf, word) == a * b
+
+    def test_two_letters_take_one_product(self, nf_rat2, monkeypatch):
+        calls = []
+        mul = LegMatrix.__mul__
+
+        def counting(a, b):
+            calls.append(1)
+            return mul(a, b)
+
+        monkeypatch.setattr(LegMatrix, "__mul__", counting)
+        build_L(nf_rat2, ComoduleWord.of([Fraction(1), Fraction(2)], nf_rat2.D))
+        assert len(calls) == 1

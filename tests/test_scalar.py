@@ -51,6 +51,13 @@ class TestRingAxioms:
     def test_inverse(self, a):
         assert a * a.inv() == Scalar.one(D)
 
+    @given(scalars())
+    @settings(max_examples=60, deadline=None)
+    def test_truth_value_is_nonzero(self, a):
+        assert bool(a) == (not a.is_zero)
+        assert not Scalar.zero(D)
+        assert Scalar.one(D).times_h(D)
+
     def test_non_unit_inverse_raises(self):
         s = Scalar.one(D).times_h()
         with pytest.raises(NonUnitError):

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from qkzkit.errors import ShapeMismatch, SingularMatrix
 from qkzkit.ratfn import RF_ONE, RF_ZERO, RatFn
-from qkzkit.scalar import Scalar
+from qkzkit.scalar import ADDITIVE, MULTIPLICATIVE, Scalar
 from qkzkit.tensor import (
     Elimination,
     LegMatrix,
@@ -92,6 +92,40 @@ class TestPartialTranspose:
         )
 
 
+# entries (a + b w) / (c + w), zero about half the time so rows are sparse
+small = st.integers(-3, 3).map(Fraction)
+entries = st.one_of(
+    st.just(RF_ZERO),
+    st.tuples(small, small, small).map(
+        lambda t: RatFn((t[0], t[1]), (t[2], Fraction(1)))
+    ),
+)
+
+
+@st.composite
+def invertible_matrices(draw):
+    """A sparse operator whose h^0 grade is a row permutation of an upper
+    triangular matrix with nonzero diagonal, so it is invertible over
+    k(w)[[h]]; higher grades are arbitrary."""
+    n = draw(st.sampled_from([2, 3, 4]))
+    mode = draw(st.sampled_from([ADDITIVE, MULTIPLICATIVE]))
+    d = draw(st.integers(0, 2))
+    perm = draw(st.permutations(range(n)))
+    out = {}
+    for r in range(n):
+        for c in range(n):
+            grades = [draw(entries) for _ in range(d + 1)]
+            if c < r:
+                grades[0] = RF_ZERO
+            elif c == r and not grades[0]:
+                grades[0] = RF_ONE
+            sc = Scalar(grades, mode)
+            if sc:
+                out[(perm[r], c)] = sc
+    shape = LegShape([2, 2]) if n == 4 else LegShape([n])
+    return LegMatrix(shape, out, d, mode)
+
+
 class TestInverse:
     def test_inverse_of_unit_matrix(self):
         w = Scalar.coordinate(D)
@@ -105,6 +139,28 @@ class TestInverse:
         z = LegMatrix.zero(LegShape([2, 2]), D)
         with pytest.raises(SingularMatrix):
             z.inv()
+
+    @given(invertible_matrices())
+    @settings(max_examples=30, deadline=None)
+    def test_inverse_is_two_sided(self, m):
+        ident = LegMatrix.identity(m.shape, m.D, m.mode)
+        mi = m.inv()
+        assert m * mi == ident
+        assert mi * m == ident
+
+    def test_inverse_eliminates_once(self, monkeypatch):
+        calls = []
+        init = Elimination.__init__
+
+        def counting(self, rows, ncols):
+            calls.append(ncols)
+            init(self, rows, ncols)
+
+        monkeypatch.setattr(Elimination, "__init__", counting)
+        w = Scalar.coordinate(D)
+        ident = LegMatrix.identity(LegShape([2, 2]), D)
+        (ident + sigma().mul_scalar(w.times_h())).inv()
+        assert calls == [4]
 
 
 class TestTheta:
@@ -178,16 +234,6 @@ class TestFieldLinearAlgebra:
     def test_solve_linear_inconsistent(self):
         mat = [[rf(1), rf(1)], [rf(2), rf(2)]]
         assert solve_linear(mat, [rf(1), rf(3)]) is None
-
-
-# entries (a + b w) / (c + w), zero about half the time so rows are sparse
-small = st.integers(-3, 3).map(Fraction)
-entries = st.one_of(
-    st.just(RF_ZERO),
-    st.tuples(small, small, small).map(
-        lambda t: RatFn((t[0], t[1]), (t[2], Fraction(1)))
-    ),
-)
 
 
 def matvec(mat, x):
