@@ -259,15 +259,14 @@ def _build_trigonometric_matrix(D: int) -> LegMatrix:
 
 # -- the ladder of R-factors on an auxiliary leg ------------------------
 
-def ladder(F, offs, value: bool = False) -> LegMatrix:
+def ladder(F, offs) -> LegMatrix:
     """R^{1,2}(off_1) R^{1,3}(off_2) ... on legs [N]^(1+len(offs)), leg 1
-    auxiliary, for a raw or a normalized family F; value=True substitutes
-    each argument fully (F.r_value) instead of displacing it (F.r).  The
-    product starts from its first factor; an empty offs gives Id on [N]."""
+    auxiliary, for a raw or a normalized family F.  The product starts
+    from its first factor; an empty offs gives Id on [N]."""
     big = LegShape([F.N] * (1 + len(offs)))
     out = None
     for k, off in enumerate(offs, start=2):
-        factor = (F.r_value(off) if value else F.r(off)).embed(big, (1, k))
+        factor = F.r(off).embed(big, (1, k))
         out = factor if out is None else out * factor
     return LegMatrix.identity(big, F.D, F.mode) if out is None else out
 

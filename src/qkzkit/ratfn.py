@@ -169,7 +169,8 @@ class RatFn:
 
     @property
     def is_unit(self) -> bool:
-        """Every nonzero element of the field is a unit."""
+        """Every nonzero element of the field is a unit.  Same as bool();
+        spelled out so Elimination can ask RatFn and Scalar entries alike."""
         return bool(self.num)
 
     @property

@@ -162,24 +162,12 @@ def check_braid_relation(
     return diff.first_nonzero_grade()
 
 
-def build_L(
-    nf: NormalizedFamily,
-    word: ComoduleWord,
-    off: ArgShift | None = None,
-    value: bool = False,
-) -> LegMatrix:
+def build_L(nf: NormalizedFamily, word: ComoduleWord) -> LegMatrix:
     """The evaluation operator of a word on legs [N]^(1+len); leg 1 is the
     auxiliary leg, and the factors Rbar(w - a_k) multiply left-to-right in
     word order."""
-    mode = nf.mode
     neutral = ArgShift.none(nf.D)
-    if off is None:
-        off = neutral
-    return ladder(
-        nf,
-        [shift_add(off, shift_sub(neutral, a, mode), mode) for a in word.letters],
-        value,
-    )
+    return ladder(nf, [shift_sub(neutral, a, nf.mode) for a in word.letters])
 
 
 def check_rvw_unitarity(

@@ -338,11 +338,12 @@ class LegMatrix:
 class Elimination:
     """Sparse Gauss-Jordan elimination that records its row operations.
 
-    Entries are RatFns (a field) or Scalars (a local ring, where only a
-    unit can pivot).  rows are sparse ({col: entry}, zeros omitted) and are
-    reduced in place to reduced row echelon form in their first ncols
-    columns; entries at columns >= ncols ride along but are never pivoted
-    on.  Columns are taken left to right; a column pivots on the
+    Entries are RatFns (a field).  The elimination itself also runs on
+    Scalars (a local ring, where only a unit can pivot), which is what
+    LegMatrix.inv uses; solve() and kernel() are for RatFn entries only.
+    rows are sparse ({col: entry}, zeros omitted) and are reduced in place
+    to reduced row echelon form in their first ncols columns; entries at
+    columns >= ncols ride along but are never pivoted on.  Columns are taken left to right; a column pivots on the
     lowest-index remaining row whose entry is a unit and is skipped when
     there is none, so over RatFn the pivot columns, the reduced pivot rows
     and the solutions are those of the dense textbook algorithm; only the
