@@ -13,17 +13,8 @@ import sys
 from .cache import load_normalized
 from .errors import KernelError
 from .families import family_from_descriptor
-from .serialize import MIN_D, RunConfig, SUITES, decode_instance
-from .suites import (
-    build_report,
-    run_checks,
-    suite_crossing,
-    suite_normalize,
-    suite_qkz,
-    suite_qybe,
-    suite_reps,
-    summary_text,
-)
+from .serialize import RunConfig
+from .suites import SUITE_NAMES, build_report, run_checks, suite_rows, summary_text
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -39,13 +30,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--config", required=True, help="JSON run configuration")
     p.add_argument(
-        "--suite", choices=SUITES, default=None,
+        "--suite", choices=SUITE_NAMES, default=None,
         help="override the suite named in the config",
     )
     p.add_argument("--out", default=None, help="write the JSON report here")
     p.add_argument(
         "--jobs", type=int, default=None,
-        help="parallel check evaluation (report order is unaffected)",
+        help="accepted; checks run serially; the report does not depend on it",
     )
     p.add_argument(
         "--d-override", type=int, default=None,
@@ -55,25 +46,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def collect_specs(cfg: RunConfig, F, suite: str):
-    need_nf = suite in ("normalize", "reps", "qkz", "all")
-    nf = load_normalized(F) if need_nf else None
-    specs = []
-    if suite in ("qybe", "all"):
-        specs += suite_qybe(F)
-    if suite in ("crossing", "all"):
-        specs += suite_crossing(F)
-    if suite in ("normalize", "all"):
-        specs += suite_normalize(nf)
-    if suite in ("reps", "all"):
-        specs += suite_reps(nf)
-    if suite in ("qkz", "all"):
-        instances = None
-        if cfg.instances:
-            instances = [
-                decode_instance(d, nf, F.D) for d in cfg.instances
-            ]
-        specs += suite_qkz(nf, instances, fault=cfg.fault)
-    return specs
+    rows = suite_rows(suite)
+    nf = load_normalized(F) if any(on_nf for _, on_nf, _ in rows) else None
+    return [spec for _, _, build in rows for spec in build(F, nf, cfg)]
 
 
 def run(argv=None) -> int:
@@ -88,9 +63,10 @@ def run(argv=None) -> int:
             cfg.out = args.out
         if args.d_override is not None:
             cfg.D = args.d_override
-        if cfg.D < MIN_D[cfg.suite]:
+        least_d = max(d for d, _, _ in suite_rows(cfg.suite))
+        if cfg.D < least_d:
             raise KernelError(
-                f"suite {cfg.suite!r} needs D >= {MIN_D[cfg.suite]}, got {cfg.D}"
+                f"suite {cfg.suite!r} needs D >= {least_d}, got {cfg.D}"
             )
         F = family_from_descriptor(
             {"family": cfg.family, "N": cfg.N, "D": cfg.D}
@@ -102,7 +78,7 @@ def run(argv=None) -> int:
         return EXIT_CONFIG
 
     try:
-        results = run_checks(specs, jobs=cfg.jobs)
+        results = run_checks(specs)
         report = build_report(results, cfg.to_dict(), cfg.D)
         if cfg.out:
             with open(cfg.out, "w") as f:

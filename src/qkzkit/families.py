@@ -14,9 +14,9 @@ from math import factorial
 
 from .errors import KernelError, PoleError, ShapeMismatch
 from .hseries import HSeries, series_inv, series_mul
-from .ratfn import P_ONE, P_ZERO, RF_ZERO, RatFn, pmul, ptrim
+from .ratfn import P_ONE, P_ZERO, RF_ONE, RF_ZERO, RatFn, pmul, ptrim
 from .scalar import ADDITIVE, MULTIPLICATIVE, Point, Scalar
-from .tensor import LegMatrix, LegShape
+from .tensor import LegMatrix, LegShape, least_grade
 
 RATIONAL = "rational"
 TRIGONOMETRIC = "trigonometric"
@@ -264,11 +264,8 @@ def ladder(F, offs) -> LegMatrix:
     auxiliary, for a raw or a normalized family F.  The product starts
     from its first factor; an empty offs gives Id on [N]."""
     big = LegShape([F.N] * (1 + len(offs)))
-    out = None
-    for k, off in enumerate(offs, start=2):
-        factor = F.r(off).embed(big, (1, k))
-        out = factor if out is None else out * factor
-    return LegMatrix.identity(big, F.D, F.mode) if out is None else out
+    factors = (F.r(off).embed(big, (1, k)) for k, off in enumerate(offs, start=2))
+    return LegMatrix.product(factors, big, F.D, F.mode)
 
 
 # -- sample handling ---------------------------------------------------
@@ -315,48 +312,40 @@ def default_samples(F: RMatrixFamily, count: int = 5):
 # -- identity checks ---------------------------------------------------
 
 def check_qybe(F: RMatrixFamily, samples=None):
-    """Residual of the three-leg consistency identity at each sample pair.
-
-    u1 stays symbolic; returns a list of (sample, first_failing_grade or
-    None) with None meaning exact zero to order D.
-    """
+    """Three-leg consistency R12 R13 R23 = R23 R13 R12 at each sample pair
+    (u2, u3), u1 symbolic; returns the least first nonzero grade of the
+    residuals, or None when each is exact zero to order D."""
     if samples is None:
         samples = default_samples(F)
     big = LegShape([F.N] * 3)
-    results = []
+    grades = []
     for (u2, u3) in samples:
         r12 = F.r(_sym_minus(F, u2)).embed(big, (1, 2))
         r13 = F.r(_sym_minus(F, u3)).embed(big, (1, 3))
         r23 = F.r_value(_delta(F, u2, u3)).embed(big, (2, 3))
         diff = r12 * r13 * r23 - r23 * r13 * r12
-        results.append(((u2, u3), diff.first_nonzero_grade()))
-    return results
+        grades.append(diff.first_nonzero_grade())
+    return least_grade(grades)
 
 
 def check_crossing(F: RMatrixFamily):
-    """Crossing symmetry: both transpose-invert forms agree and are a scalar
-    multiple g of R displaced by N*h; returns (g, report dict)."""
+    """Crossing symmetry: both transpose-invert forms x, y of R agree, and
+    x = g R(w + N h) with g a unit of h^0 grade 1, read off the first unit
+    entry of the displaced R.  Returns the least of the first nonzero grades
+    of x - y and of x - g R(w + N h), and 0 when g's h^0 grade is not 1;
+    None when all three hold."""
     r_inv = F.base.inv()
     x = r_inv.partial_transpose(1).inv().partial_transpose(1)
     y = r_inv.partial_transpose(2).inv().partial_transpose(2)
-    forms_equal = (x - y).is_zero
     shifted = F.r(ArgShift.of_h(F.crossing_hshift))
-    g = None
-    proportional = False
-    for (rc, cc), v in sorted(shifted.entries.items()):
-        if v.is_unit:
-            g = x.get(rc, cc) * v.inv()
-            break
-    if g is not None:
-        proportional = (x - shifted.mul_scalar(g)).is_zero
-    if not proportional:
-        raise KernelError("crossing form is not proportional to the displaced R")
-    report = {
-        "forms_equal": forms_equal,
-        "proportional": proportional,
-        "g_unit_leading": g.grades[0] == RatFn.from_fraction(1),
-    }
-    return g, report
+    # R's h^0 grade is invertible (R.inv() succeeded), so a unit entry exists
+    key = min(k for k, v in shifted.entries.items() if v.is_unit)
+    g = x.get(*key) * shifted.entries[key].inv()
+    return least_grade([
+        (x - y).first_nonzero_grade(),
+        (x - shifted.mul_scalar(g)).first_nonzero_grade(),
+        None if g.grades[0] == RF_ONE else 0,
+    ])
 
 
 def extract_scalar(m: LegMatrix) -> Scalar:
@@ -369,22 +358,39 @@ def extract_scalar(m: LegMatrix) -> Scalar:
     return s
 
 
-def unitarity_scalar(F) -> Scalar:
-    """The scalar phi with R(w) R^{21}(-w) = phi * Id, for the matrix F.r()
-    of a raw or a normalized family."""
+def _unitarity_product(F) -> LegMatrix:
+    """R(w) R^{21}(-w) for the matrix F.r() of a raw or a normalized family."""
     r = F.r()
     sigma = F.sigma()
-    r21_neg = sigma * r.map_entries(lambda s: s.negate_arg()) * sigma
-    return extract_scalar(r * r21_neg)
+    return r * (sigma * r.map_entries(lambda s: s.negate_arg()) * sigma)
+
+
+def unitarity_scalar(F) -> Scalar:
+    """The scalar phi with R(w) R^{21}(-w) = phi * Id; raises if the product
+    is not scalar."""
+    return extract_scalar(_unitarity_product(F))
+
+
+def check_unitarity(F):
+    """R(w) R^{21}(-w) = phi * Id with phi a unit, phi the product's (0, 0)
+    entry: returns the least of the first nonzero grade of the product
+    minus phi * Id and 0 when phi is not a unit; None when both hold."""
+    p = _unitarity_product(F)
+    phi = p.get(0, 0)
+    return least_grade([
+        (p - F.identity().mul_scalar(phi)).first_nonzero_grade(),
+        None if phi.is_unit else 0,
+    ])
 
 
 def check_classical_ybe(F: RMatrixFamily, samples=None):
-    """Classical YBE for the h^1 matrix r: sum of pairwise commutators
-    vanishes; one variable symbolic."""
+    """Classical YBE for the h^1 matrix r: the sum of pairwise commutators
+    vanishes at each sample pair, one variable symbolic; returns the least
+    first nonzero grade of the sums, or None."""
     if samples is None:
         samples = default_samples(F, 3)
     big = LegShape([F.N] * 3)
-    results = []
+    grades = []
     for (u2, u3) in samples:
         r12 = (-F.r(_sym_minus(F, u2)).grade_matrix(1)).embed(big, (1, 2))
         r13 = (-F.r(_sym_minus(F, u3)).grade_matrix(1)).embed(big, (1, 3))
@@ -394,8 +400,8 @@ def check_classical_ybe(F: RMatrixFamily, samples=None):
             + (r12 * r23 - r23 * r12)
             + (r13 * r23 - r23 * r13)
         )
-        results.append(((u2, u3), acc.first_nonzero_grade()))
-    return results
+        grades.append(acc.first_nonzero_grade())
+    return least_grade(grades)
 
 
 # -- trigonometric -> rational degeneration ----------------------------

@@ -337,3 +337,11 @@ def check_pairing_qdet(nf: NormalizedFamily, points, y=Fraction(0), raw=False):
     result = qdet_apply(nf.qdet, x_at)
     ident = LegMatrix.identity(LegShape([N] * len(points)), D, nf.mode)
     return (result - ident).first_nonzero_grade()
+
+
+def check_pairing_control(nf: NormalizedFamily, points):
+    """The control of check_pairing_qdet: without the rescaling the
+    contraction must differ from Id at some grade up to D.  Returns None
+    when it does, and D when it equals Id at every grade up to D: the
+    control is refuted only once its last grade is seen."""
+    return None if check_pairing_qdet(nf, points, raw=True) is not None else nf.D

@@ -17,7 +17,7 @@ from .hseries import HSeries
 from .qdet import NormalizedFamily
 from .reps import ComoduleWord, build_braiding, build_rvw, shift_add, shift_sub
 from .scalar import ADDITIVE
-from .tensor import LegMatrix, LegShape
+from .tensor import LegMatrix, LegShape, least_grade
 
 #: injectable faults: controls that must make a check fail
 FAULTS = ("drop-step-shift",)
@@ -99,24 +99,26 @@ def build_nabla(inst: QKZInstance, i: int, z=None) -> LegMatrix:
         z = inst.z
     big = inst.fiber_shape()
     kh = ArgShift.of_h(inst.kappa_h)
-    out = LegMatrix.identity(big, nf.D, nf.mode)
-    factors = [(j, True) for j in range(i - 1, 0, -1)]
-    factors += [(j, False) for j in range(inst.n, i, -1)]
-    for j, shifted in factors:
+
+    def factor(j, shifted):
         off = shift_sub(z[j - 1], z[i - 1], nf.mode)
         if shifted:
             off = shift_add(off, kh, nf.mode)
-        r = build_rvw(
+        return build_rvw(
             nf, inst.words[j - 1], inst.words[i - 1], off, value=True
         ).embed(big, inst.block_legs(j) + inst.block_legs(i))
-        out = out * r
-    return out
+
+    order = [(j, True) for j in range(i - 1, 0, -1)]
+    order += [(j, False) for j in range(inst.n, i, -1)]
+    return LegMatrix.product(
+        (factor(j, shifted) for j, shifted in order), big, nf.D, nf.mode
+    )
 
 
 def check_flatness(inst: QKZInstance, fault: str | None = None):
     """All pairwise flatness residuals
-    nabla_j(z - kappa h e_i) nabla_i(z) - nabla_i(z - kappa h e_j) nabla_j(z);
-    returns a list of ((i, j), first nonzero grade or None).
+    nabla_j(z - kappa h e_i) nabla_i(z) - nabla_i(z - kappa h e_j) nabla_j(z)
+    over index pairs i < j; returns the least first nonzero grade, or None.
 
     fault="drop-step-shift" takes the outer factor of the right product at
     z instead of the stepped point, leaving an uncancelled derivative term
@@ -125,44 +127,46 @@ def check_flatness(inst: QKZInstance, fault: str | None = None):
     if fault is not None and fault not in FAULTS:
         raise KernelError(f"unknown fault {fault!r}")
     kh = inst.kappa_h
-    out = []
+    grades = []
     for i in range(1, inst.n + 1):
         for j in range(i + 1, inst.n + 1):
             zi = _z_step(inst.z, i, kh)
             zj = inst.z if fault == "drop-step-shift" else _z_step(inst.z, j, kh)
             lhs = build_nabla(inst, j, zi) * build_nabla(inst, i)
             rhs = build_nabla(inst, i, zj) * build_nabla(inst, j)
-            out.append(((i, j), (lhs - rhs).first_nonzero_grade()))
-    return out
+            grades.append((lhs - rhs).first_nonzero_grade())
+    return least_grade(grades)
 
 
 def check_commutativity_at_zero_step(inst: QKZInstance):
     """With K = -N the step vanishes and flatness degenerates to
-    commutativity of the nabla's at a fixed base point."""
+    commutativity of the nabla's at a fixed base point; returns the least
+    first nonzero grade of the commutators, or None."""
     zero_k = QKZInstance(
         inst.nf,
         inst.z,
         inst.words,
         HSeries.constant(-inst.nf.N, inst.nf.D),
     )
-    out = []
+    grades = []
     for i in range(1, inst.n + 1):
         for j in range(i + 1, inst.n + 1):
             a = build_nabla(zero_k, i)
             b = build_nabla(zero_k, j)
-            out.append(((i, j), (a * b - b * a).first_nonzero_grade()))
-    return out
+            grades.append((a * b - b * a).first_nonzero_grade())
+    return least_grade(grades)
 
 
-def check_translation_invariance(inst: QKZInstance, t) -> bool:
+def check_translation_invariance(inst: QKZInstance, t):
     """Displacing every base point by the same amount leaves each nabla_i
-    unchanged."""
+    unchanged; returns the least first nonzero grade of the differences,
+    or None."""
     off = t if isinstance(t, ArgShift) else ArgShift.of(t, inst.nf.D)
     moved = tuple(shift_add(zi, off, inst.nf.mode) for zi in inst.z)
-    for i in range(1, inst.n + 1):
-        if not (build_nabla(inst, i, moved) - build_nabla(inst, i)).is_zero:
-            return False
-    return True
+    return least_grade(
+        (build_nabla(inst, i, moved) - build_nabla(inst, i)).first_nonzero_grade()
+        for i in range(1, inst.n + 1)
+    )
 
 
 def check_braiding_equivariance(inst: QKZInstance, i: int):
@@ -209,22 +213,26 @@ def quasiclassical_limit(inst: QKZInstance, i: int) -> LegMatrix:
     return build_nabla(inst, i).grade_matrix(1)
 
 
-def check_quasiclassical(inst: QKZInstance, i: int):
-    """The h^1 grade of nabla_i equals the sum over j != i of the h^1
-    grades of R^{ji}(z_j - z_i) -- the step shift kappa h only enters at
-    grade 2.  Returns the first nonzero grade of the difference, or None."""
+def check_quasiclassical(inst: QKZInstance):
+    """For every index i, the h^1 grade of nabla_i equals the sum over
+    j != i of the h^1 grades of R^{ji}(z_j - z_i) -- the step shift kappa h
+    only enters at grade 2.  Returns the least first nonzero grade of the
+    differences, or None."""
     nf = inst.nf
     big = inst.fiber_shape()
-    acc = LegMatrix.zero(big, nf.D, nf.mode)
-    for j in range(1, inst.n + 1):
-        if j == i:
-            continue
-        off = shift_sub(inst.z[j - 1], inst.z[i - 1], nf.mode)
-        r = build_rvw(
-            nf, inst.words[j - 1], inst.words[i - 1], off, value=True
-        ).embed(big, inst.block_legs(j) + inst.block_legs(i))
-        acc = acc + r.grade_matrix(1)
-    return (quasiclassical_limit(inst, i) - acc).first_nonzero_grade()
+    grades = []
+    for i in range(1, inst.n + 1):
+        acc = LegMatrix.zero(big, nf.D, nf.mode)
+        for j in range(1, inst.n + 1):
+            if j == i:
+                continue
+            off = shift_sub(inst.z[j - 1], inst.z[i - 1], nf.mode)
+            r = build_rvw(
+                nf, inst.words[j - 1], inst.words[i - 1], off, value=True
+            ).embed(big, inst.block_legs(j) + inst.block_legs(i))
+            acc = acc + r.grade_matrix(1)
+        grades.append((quasiclassical_limit(inst, i) - acc).first_nonzero_grade())
+    return least_grade(grades)
 
 
 def residual_qkz(inst: QKZInstance, fmap, i: int):

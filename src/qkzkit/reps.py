@@ -14,7 +14,7 @@ from .errors import ShapeMismatch
 from .families import ArgShift, ladder, shift_add, shift_sub
 from .hseries import HSeries
 from .qdet import NormalizedFamily
-from .tensor import LegMatrix, LegShape
+from .tensor import LegMatrix, LegShape, least_grade
 
 
 @dataclass(frozen=True)
@@ -130,8 +130,7 @@ def check_hexagon(
         (part(v, w[:c], vlegs + wlegs[:c]), part(v, w[c:], vlegs + wlegs[c:]))
         for c in range(1, len(w))
     ]
-    grades = [(a * b - full).first_nonzero_grade() for a, b in pairs]
-    return min((g for g in grades if g is not None), default=None)
+    return least_grade((a * b - full).first_nonzero_grade() for a, b in pairs)
 
 
 def check_braid_relation(

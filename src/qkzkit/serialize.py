@@ -84,14 +84,6 @@ def dict_to_word(d: dict, D: int):
 
 # -- run configuration -------------------------------------------------
 
-SUITES = ("qybe", "crossing", "normalize", "reps", "qkz", "all")
-
-#: the least truncation order D each suite can decide: qybe and qkz read
-#: the h^1 grade, and the normalize control cannot fail below h^2
-MIN_D = {
-    "qybe": 1, "crossing": 0, "normalize": 2, "reps": 0, "qkz": 1, "all": 2,
-}
-
 _CONFIG_FIELDS = {
     "family", "N", "D", "suite", "instances", "out", "jobs", "fault",
 }
@@ -110,7 +102,9 @@ class RunConfig:
         jobs: int = 1,
         fault: str | None = None,
     ):
-        if suite not in SUITES:
+        from .suites import SUITE_NAMES  # suites imports this module
+
+        if suite not in SUITE_NAMES:
             raise KernelError(f"unknown suite {suite!r}")
         if fault is not None and fault not in FAULTS:
             raise KernelError(f"unknown fault {fault!r}; known: {list(FAULTS)}")
@@ -120,7 +114,7 @@ class RunConfig:
         self.suite = suite
         self.instances = list(instances)  # raw dicts; decoded lazily
         self.out = out
-        self.jobs = int(jobs)
+        self.jobs = int(jobs)  # echoed only: checks run serially
         self.fault = fault
 
     def to_dict(self) -> dict:

@@ -1,14 +1,13 @@
 """Verification suites: named exact checks over a family, with reports.
 
-Each check is a closure returning either None (exact zero to order D) or
-the first failing h-grade; suites assemble deterministic result lists that
-are independent of the parallelism degree.
+A suite is a list of (name, identity, thunk) rows.  Each thunk calls one
+check, which returns None (exact zero to order D) or the first failing
+h-grade; the rows run serially, in order, into a deterministic report.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -20,12 +19,12 @@ from .families import (
     check_crossing,
     check_degeneration,
     check_qybe,
+    check_unitarity,
     default_samples,
-    unitarity_scalar,
     TRIGONOMETRIC,
 )
 from .hseries import HSeries
-from .qdet import NormalizedFamily, check_pairing_qdet
+from .qdet import NormalizedFamily, check_pairing_control, check_pairing_qdet
 from .qkz import (
     QKZInstance,
     check_braiding_equivariance,
@@ -40,6 +39,7 @@ from .reps import (
     check_rvw_unitarity,
 )
 from .scalar import Scalar
+from .serialize import decode_instance
 
 STATUS_OK = "exact-zero"
 STATUS_FAIL = "fails-at-grade-{}"
@@ -85,22 +85,9 @@ def _run_one(name: str, identity: str, thunk) -> CheckResult:
     return CheckResult(name, identity, STATUS_FAIL.format(grade), grade, dt)
 
 
-def run_checks(specs, jobs: int = 1) -> list:
-    """Run (name, identity, thunk) triples; result order is the input
-    order, independent of jobs."""
-    if jobs <= 1:
-        return [_run_one(*s) for s in specs]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        futures = [pool.submit(_run_one, *s) for s in specs]
-        return [f.result() for f in futures]
-
-
-def _bool_check(fn) -> "callable":
-    # adapt a boolean predicate to the grade-or-None protocol
-    def thunk():
-        return None if fn() else 0
-
-    return thunk
+def run_checks(specs) -> list:
+    """Run (name, identity, thunk) rows serially, in order."""
+    return [_run_one(*s) for s in specs]
 
 
 # -- suite builders ----------------------------------------------------
@@ -112,32 +99,23 @@ def suite_qybe(F: RMatrixFamily):
         specs.append((
             f"qybe[{pair[0]},{pair[1]}]",
             "three-leg consistency of R, one variable symbolic",
-            (lambda p=pair: check_qybe(F, [p])[0][1]),
+            (lambda p=pair: check_qybe(F, [p])),
         ))
     for pair in samples[:2]:
         specs.append((
             f"classical-ybe[{pair[0]},{pair[1]}]",
             "sum of pairwise commutators of the h^1 matrix vanishes",
-            (lambda p=pair: check_classical_ybe(F, [p])[0][1]),
+            (lambda p=pair: check_classical_ybe(F, [p])),
         ))
     return specs
 
 
 def suite_crossing(F: RMatrixFamily):
-    def crossing():
-        _, report = check_crossing(F)
-        return None if all(report.values()) else 0
-
-    def unitarity():
-        phi = unitarity_scalar(F)
-        # the product is scalar by construction of the check; also require
-        # the scalar to be a unit
-        return None if phi.is_unit else 0
-
     specs = [
         ("crossing", "transpose-invert-squared is proportional to the "
-         "displaced R with unit scalar", crossing),
-        ("unitarity-scalar", "R(w) R-swapped(-w) is a unit scalar", unitarity),
+         "displaced R with unit scalar", lambda: check_crossing(F)),
+        ("unitarity-scalar", "R(w) R-swapped(-w) is a unit scalar",
+         lambda: check_unitarity(F)),
     ]
     if F.family == TRIGONOMETRIC:
         specs.append((
@@ -169,7 +147,7 @@ def suite_normalize(nf: NormalizedFamily):
          lambda: check_pairing_qdet(nf, pts)),
         ("pairing-qdet-control",
          "the same contraction without rescaling must fail",
-         _bool_check(lambda: check_pairing_qdet(nf, pts, raw=True) is not None)),
+         lambda: check_pairing_control(nf, pts)),
     ]
 
 
@@ -243,14 +221,14 @@ def suite_qkz(nf: NormalizedFamily, instances=None, fault: str | None = None):
         specs.append((
             f"{tag}.regular",
             "base-point differences avoid poles and stay invertible",
-            (lambda i=inst: _str_check_none(i.check_regular)),
+            (lambda i=inst: i.check_regular()),
         ))
         specs.append((
             f"{tag}.flatness",
             "difference-connection flatness (fault: step shift dropped)"
             if fault == "drop-step-shift"
             else "difference-connection flatness for every index pair",
-            (lambda i=inst: _worst(check_flatness(i, fault))),
+            (lambda i=inst: check_flatness(i, fault)),
         ))
         for i_idx in range(1, inst.n + 1):
             specs.append((
@@ -262,21 +240,33 @@ def suite_qkz(nf: NormalizedFamily, instances=None, fault: str | None = None):
         specs.append((
             f"{tag}.quasiclassical",
             "h^1 grade of the connection is the sum of classical terms",
-            (lambda i=inst: _worst(
-                [((j,), check_quasiclassical(i, j)) for j in range(1, i.n + 1)]
-            )),
+            (lambda i=inst: check_quasiclassical(i)),
         ))
     return specs
 
 
-def _str_check_none(fn):
-    fn()
-    return None
+def _qkz_specs(F, nf, cfg):
+    instances = [decode_instance(d, nf, F.D) for d in cfg.instances]
+    return suite_qkz(nf, instances or None, fault=cfg.fault)
 
 
-def _worst(pairs):
-    grades = [g for _, g in pairs if g is not None]
-    return min(grades) if grades else None
+#: every suite once, in the order `all` runs them: name -> (least D, whether
+#: it checks the normalized family, its rows from (F, nf, run config)).  qybe
+#: and qkz read the h^1 grade; the un-rescaled contraction that
+#: pairing-qdet-control needs to differ from Id cannot do so below h^2.
+SUITES = {
+    "qybe": (1, False, lambda F, nf, cfg: suite_qybe(F)),
+    "crossing": (0, False, lambda F, nf, cfg: suite_crossing(F)),
+    "normalize": (2, True, lambda F, nf, cfg: suite_normalize(nf)),
+    "reps": (0, True, lambda F, nf, cfg: suite_reps(nf)),
+    "qkz": (1, True, _qkz_specs),
+}
+SUITE_NAMES = (*SUITES, "all")
+
+
+def suite_rows(suite: str) -> list:
+    """The table rows a suite name runs: every row for `all`."""
+    return [row for name, row in SUITES.items() if suite in (name, "all")]
 
 
 def build_report(results, config_dict, D: int) -> dict:

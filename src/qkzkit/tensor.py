@@ -17,6 +17,12 @@ from .ratfn import RF_ONE, RF_ZERO, RatFn
 from .scalar import ADDITIVE, Scalar
 
 
+def least_grade(grades) -> int | None:
+    """The least grade that is not None, or None when there is none: the
+    first failing grade of an identity checked in several parts."""
+    return min((g for g in grades if g is not None), default=None)
+
+
 class LegShape:
     __slots__ = ("dims", "total", "strides")
 
@@ -66,6 +72,15 @@ class LegMatrix:
         return LegMatrix(shape, {(i, i): one for i in range(shape.total)}, D, mode)
 
     @staticmethod
+    def product(factors, shape: LegShape, D: int, mode: str = ADDITIVE) -> "LegMatrix":
+        """The ordered product of factors, started from the first one; Id
+        on shape when there are none."""
+        out = None
+        for f in factors:
+            out = f if out is None else out * f
+        return LegMatrix.identity(shape, D, mode) if out is None else out
+
+    @staticmethod
     def zero(shape: LegShape, D: int, mode: str = ADDITIVE) -> "LegMatrix":
         return LegMatrix(shape, {}, D, mode)
 
@@ -101,12 +116,7 @@ class LegMatrix:
         return not self.entries
 
     def first_nonzero_grade(self) -> int | None:
-        best = None
-        for s in self.entries.values():
-            g = s.first_nonzero_grade()
-            if g is not None and (best is None or g < best):
-                best = g
-        return best
+        return least_grade(s.first_nonzero_grade() for s in self.entries.values())
 
     # -- algebra ------------------------------------------------------
     def __add__(self, other: "LegMatrix") -> "LegMatrix":

@@ -11,12 +11,24 @@ from qkzkit.families import (
     check_crossing,
     check_degeneration,
     check_qybe,
+    check_unitarity,
     default_samples,
     family_from_descriptor,
     unitarity_scalar,
 )
 from qkzkit.ratfn import RatFn
 from qkzkit.scalar import Scalar
+from qkzkit.suites import run_checks, suite_crossing
+from qkzkit.tensor import LegMatrix
+
+
+def planted(F, grade, entries):
+    """F with its R replaced by R + h^grade E, E the constant matrix with
+    the given {(row, col): rational} entries."""
+    one = Scalar.one(F.D, F.mode).times_h(grade)
+    E = {rc: one.scale(Fraction(c)) for rc, c in entries.items()}
+    F._base = F.base + LegMatrix(F.base.shape, E, F.D, F.mode)
+    return F
 
 
 class TestConstruction:
@@ -72,28 +84,50 @@ class TestSamples:
 
 class TestQYBE:
     def test_rational_n2(self, rat2):
-        assert all(g is None for _, g in check_qybe(rat2))
+        assert check_qybe(rat2) is None
 
     def test_rational_n3(self, rat3):
-        assert all(g is None for _, g in check_qybe(rat3))
+        assert check_qybe(rat3) is None
 
     def test_trigonometric(self, trig):
-        assert all(g is None for _, g in check_qybe(trig))
+        assert check_qybe(trig) is None
 
     def test_classical_limit(self, rat2, trig):
         for F in (rat2, trig):
-            assert all(g is None for _, g in check_classical_ybe(F))
+            assert check_classical_ybe(F) is None
 
 
 class TestCrossingAndUnitarity:
     @pytest.mark.parametrize("name", ["rat2", "rat3", "trig"])
     def test_crossing(self, name, request):
         F = request.getfixturevalue(name)
-        g, report = check_crossing(F)
-        assert report["forms_equal"]
-        assert report["proportional"]
-        assert report["g_unit_leading"]
-        assert g.is_unit
+        assert check_crossing(F) is None
+
+    @pytest.mark.parametrize("build", [build_rational, build_trigonometric])
+    def test_planted_fault_reports_its_grade(self, build):
+        # R + h^3 E with E constant: both transpose-invert forms and the
+        # displaced R all gain h^3 E, so crossing still holds through h^3
+        # (D = 3 is exact) and first fails at h^4; R R21(-w) gains
+        # h^3 (E + E21), which is not scalar
+        E = {(0, 1): 1, (2, 3): Fraction(-2, 3), (1, 1): 5}
+        assert check_crossing(planted(build(2, 3), 3, E)) is None
+        F = planted(build(2, 4), 3, E)
+        assert check_crossing(F) == 4
+        assert check_unitarity(F) == 3
+        results = {r.name: r for r in run_checks(suite_crossing(F))}
+        assert results["crossing"].status == "fails-at-grade-4"
+        assert results["crossing"].grade == 4
+        assert results["unitarity-scalar"].status == "fails-at-grade-3"
+        assert all(r.status != "error" for r in results.values())
+
+    @pytest.mark.parametrize("D", [0, 4])
+    def test_broken_leading_form_fails_at_grade_0(self, D):
+        # R + E, E = e_01 + e_13 with E^2 = e_03: the transpose-invert form
+        # of Id + E is not proportional to Id + E
+        F = planted(build_rational(2, D), 0, {(0, 1): 1, (1, 3): 1})
+        assert check_crossing(F) == 0
+        [result] = [r for r in run_checks(suite_crossing(F)) if r.name == "crossing"]
+        assert result.status == "fails-at-grade-0"
 
     @pytest.mark.parametrize("name", ["rat2", "rat3", "trig"])
     def test_unitarity_scalar_is_unit(self, name, request):

@@ -8,6 +8,7 @@ from qkzkit.hseries import HSeries
 from qkzkit.qdet import (
     NormalizedFamily,
     _perm_sign,
+    check_pairing_control,
     check_pairing_qdet,
     compute_rho,
     find_qdet_vector,
@@ -164,6 +165,23 @@ class TestPairing:
         monkeypatch.setattr(LegMatrix, "__mul__", counting)
         assert check_pairing_qdet(nf, [Fraction(1), Fraction(5, 2)]) is None
         assert len(calls) == 4
+
+    def test_control_fails_when_the_rescaling_is_a_no_op(self, nf_rat2):
+        # a family that is already normalized: its raw contraction is Id at
+        # every grade, so the control has nothing to show and reports D
+        F = build_rational(2, nf_rat2.D)
+        F._base = nf_rat2.rbar
+        one = Scalar.one(nf_rat2.D, nf_rat2.mode)
+        same = NormalizedFamily(F, nf_rat2.qdet, one, one)
+        pts = [Fraction(1), Fraction(5, 2)]
+        assert check_pairing_qdet(same, pts) is None
+        assert check_pairing_control(same, pts) == nf_rat2.D
+        assert check_pairing_control(nf_rat2, pts) is None
+        [result] = [
+            r for r in run_checks(suite_normalize(same))
+            if r.name == "pairing-qdet-control"
+        ]
+        assert result.status == f"fails-at-grade-{nf_rat2.D}"
 
     @pytest.mark.parametrize("name", ["nf_rat2", "nf_trig"])
     def test_unnormalized_control_fails(self, name, request):
