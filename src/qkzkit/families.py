@@ -117,13 +117,14 @@ def displaced(m: LegMatrix, off: ArgShift | None, hscale) -> LegMatrix:
 
 
 def valued(m: LegMatrix, off: ArgShift, hscale) -> LegMatrix:
-    """m at the fully substituted argument off (no symbolic coordinate left)."""
+    """m at the fully substituted argument off (no symbolic coordinate
+    left), with HSeries entries."""
     if m.mode == ADDITIVE:
         val = HSeries.constant(off.const, m.D) + off.hpart
     else:
         val = off.hpart.scale(hscale).exp().scale(_norm_const(off.const, m.mode))
     p = Point(val, m.mode)
-    return m.map_entries(lambda s: Scalar.from_hseries(s.eval(p), m.mode))
+    return m.map_entries(lambda s: s.eval(p))
 
 
 class RMatrixFamily:
@@ -358,7 +359,7 @@ def extract_scalar(m: LegMatrix) -> Scalar:
     return s
 
 
-def _unitarity_product(F) -> LegMatrix:
+def unitarity_product(F) -> LegMatrix:
     """R(w) R^{21}(-w) for the matrix F.r() of a raw or a normalized family."""
     r = F.r()
     sigma = F.sigma()
@@ -368,14 +369,14 @@ def _unitarity_product(F) -> LegMatrix:
 def unitarity_scalar(F) -> Scalar:
     """The scalar phi with R(w) R^{21}(-w) = phi * Id; raises if the product
     is not scalar."""
-    return extract_scalar(_unitarity_product(F))
+    return extract_scalar(unitarity_product(F))
 
 
 def check_unitarity(F):
     """R(w) R^{21}(-w) = phi * Id with phi a unit, phi the product's (0, 0)
     entry: returns the least of the first nonzero grade of the product
     minus phi * Id and 0 when phi is not a unit; None when both hold."""
-    p = _unitarity_product(F)
+    p = unitarity_product(F)
     phi = p.get(0, 0)
     return least_grade([
         (p - F.identity().mul_scalar(phi)).first_nonzero_grade(),

@@ -3,7 +3,9 @@
 series_mul and series_inv are the one truncated Cauchy product and inverse
 of the kernel; they work over any coefficient ring whose zero is falsy
 (Fraction, RatFn).  HSeries applies them over Q: shift amounts, central
-charges, evaluation points.  All operands of a binary operation must share D.
+charges, evaluation points, and the entries of operators evaluated at a
+point.  All operands of a binary operation must share D; a Scalar operand
+is left to Scalar, which lifts the HSeries into k(w)[[h]].
 """
 
 from __future__ import annotations
@@ -54,13 +56,20 @@ class HSeries:
             raise ValueError("HSeries needs at least the h^0 coefficient")
         self.coeffs = coeffs
 
+    @staticmethod
+    def _of(coeffs) -> "HSeries":
+        """An HSeries over coefficients that are already Fractions."""
+        s = object.__new__(HSeries)
+        s.coeffs = tuple(coeffs)
+        return s
+
     @property
     def truncation(self) -> int:
         return len(self.coeffs) - 1
 
     @staticmethod
     def constant(c, D: int) -> "HSeries":
-        return HSeries((Fraction(c),) + (Fraction(0),) * D)
+        return HSeries._of((Fraction(c),) + (Fraction(0),) * D)
 
     @staticmethod
     def h(D: int, power: int = 1) -> "HSeries":
@@ -73,6 +82,14 @@ class HSeries:
     def zero(D: int) -> "HSeries":
         return HSeries.constant(0, D)
 
+    def like(self, c) -> "HSeries":
+        """The constant c in the ring of self."""
+        return HSeries.constant(c, self.truncation)
+
+    def grade_part(self, m: int) -> "HSeries":
+        """The m-th grade as a constant series."""
+        return HSeries.constant(self.coeffs[m], self.truncation)
+
     def _check(self, other: "HSeries"):
         if self.truncation != other.truncation:
             raise TruncationMismatch(
@@ -80,28 +97,34 @@ class HSeries:
             )
 
     def __add__(self, other: "HSeries") -> "HSeries":
+        if not isinstance(other, HSeries):
+            return NotImplemented
         self._check(other)
-        return HSeries(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        return HSeries._of(a + b for a, b in zip(self.coeffs, other.coeffs))
 
     def __sub__(self, other: "HSeries") -> "HSeries":
+        if not isinstance(other, HSeries):
+            return NotImplemented
         self._check(other)
-        return HSeries(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return HSeries._of(a - b for a, b in zip(self.coeffs, other.coeffs))
 
     def __neg__(self) -> "HSeries":
-        return HSeries(tuple(-a for a in self.coeffs))
+        return HSeries._of(-a for a in self.coeffs)
 
     def __mul__(self, other: "HSeries") -> "HSeries":
+        if not isinstance(other, HSeries):
+            return NotImplemented
         self._check(other)
-        return HSeries(series_mul(self.coeffs, other.coeffs, Fraction(0)))
+        return HSeries._of(series_mul(self.coeffs, other.coeffs, Fraction(0)))
 
     def scale(self, c) -> "HSeries":
         c = Fraction(c)
-        return HSeries(tuple(a * c for a in self.coeffs))
+        return HSeries._of(a * c for a in self.coeffs)
 
     def inv(self) -> "HSeries":
-        if self.coeffs[0] == 0:
+        if not self.is_unit:
             raise NonUnitError("h^0 coefficient is zero")
-        return HSeries(series_inv(self.coeffs, 1 / self.coeffs[0], Fraction(0)))
+        return HSeries._of(series_inv(self.coeffs, 1 / self.coeffs[0], Fraction(0)))
 
     def exp(self) -> "HSeries":
         """exp of a series with zero constant term."""
@@ -119,7 +142,17 @@ class HSeries:
 
     @property
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.coeffs)
+
+    def __bool__(self) -> bool:
+        return any(self.coeffs)
+
+    @property
+    def is_unit(self) -> bool:
+        return self.coeffs[0] != 0
+
+    def first_nonzero_grade(self) -> int | None:
+        return next((m for m, c in enumerate(self.coeffs) if c), None)
 
     @property
     def constant_part(self) -> Fraction:
@@ -127,7 +160,7 @@ class HSeries:
 
     def positive_part(self) -> "HSeries":
         """The h^1-and-up tail."""
-        return HSeries((Fraction(0),) + self.coeffs[1:])
+        return HSeries._of((Fraction(0),) + self.coeffs[1:])
 
     def __eq__(self, other) -> bool:
         return isinstance(other, HSeries) and self.coeffs == other.coeffs

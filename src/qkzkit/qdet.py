@@ -22,6 +22,7 @@ from .families import (
     ladder,
     shift_scalar,
     shift_sub,
+    unitarity_product,
     unitarity_scalar,
     valued,
 )
@@ -260,6 +261,7 @@ class NormalizedFamily:
         self.rho = rho
         self.f0 = f0
         self.rbar = F.base.mul_scalar(f0)
+        self._values: dict = {}  # r_value memo, by argument
 
     @property
     def N(self) -> int:
@@ -278,8 +280,11 @@ class NormalizedFamily:
         return displaced(self.rbar, off, self.family.hshift_scale)
 
     def r_value(self, off: ArgShift) -> LegMatrix:
-        """Rbar at a fully substituted argument."""
-        return valued(self.rbar, off, self.family.hshift_scale)
+        """Rbar at a fully substituted argument, computed once per argument."""
+        m = self._values.get(off)
+        if m is None:
+            m = self._values[off] = valued(self.rbar, off, self.family.hshift_scale)
+        return m
 
     def identity(self, legs: int = 2) -> LegMatrix:
         return self.family.identity(legs)
@@ -296,6 +301,16 @@ class NormalizedFamily:
 
     def unitarity_scalar(self) -> Scalar:
         return unitarity_scalar(self)
+
+    def qdet_defect(self):
+        """First nonzero grade of the determinant element's image minus Id,
+        or None when it acts as 1."""
+        image = qdet_apply(self.qdet, lambda s: self.r(ArgShift.of_h(s)))
+        return (image - self.identity(1)).first_nonzero_grade()
+
+    def unitarity_defect(self):
+        """First nonzero grade of Rbar(w) Rbar^{21}(-w) minus Id, or None."""
+        return (unitarity_product(self) - self.identity()).first_nonzero_grade()
 
     def crossing_defect(self):
         """First nonzero grade of theta^2(Rbar) - Rbar(arg shifted by N h),

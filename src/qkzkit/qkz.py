@@ -127,13 +127,14 @@ def check_flatness(inst: QKZInstance, fault: str | None = None):
     if fault is not None and fault not in FAULTS:
         raise KernelError(f"unknown fault {fault!r}")
     kh = inst.kappa_h
+    plain = {i: build_nabla(inst, i) for i in range(1, inst.n + 1)}
     grades = []
     for i in range(1, inst.n + 1):
         for j in range(i + 1, inst.n + 1):
             zi = _z_step(inst.z, i, kh)
             zj = inst.z if fault == "drop-step-shift" else _z_step(inst.z, j, kh)
-            lhs = build_nabla(inst, j, zi) * build_nabla(inst, i)
-            rhs = build_nabla(inst, i, zj) * build_nabla(inst, j)
+            lhs = build_nabla(inst, j, zi) * plain[i]
+            rhs = build_nabla(inst, i, zj) * plain[j]
             grades.append((lhs - rhs).first_nonzero_grade())
     return least_grade(grades)
 
@@ -258,7 +259,8 @@ def first_order_solution(inst: QKZInstance, i: int, v):
     """
     stepped = _z_step(inst.z, i, inst.kappa_h)
     a1 = build_nabla(inst, i).grade_matrix(1)
-    f_next = [x + y.times_h() for x, y in zip(v, a1.apply(v))]
+    h = HSeries.h(inst.nf.D)
+    f_next = [x + y * h for x, y in zip(v, a1.apply(v))]
 
     def fmap(z):
         return f_next if z == stepped else list(v)

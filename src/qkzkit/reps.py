@@ -82,11 +82,12 @@ def build_rvw(
     )
 
 
-def block_swap(nf: NormalizedFamily, p: int, q: int) -> LegMatrix:
-    """The permutation sending V-legs 1..p past W-legs p+1..p+q."""
+def block_swap(nf: NormalizedFamily, p: int, q: int, one=None) -> LegMatrix:
+    """The permutation sending V-legs 1..p past W-legs p+1..p+q; one is the
+    unit of the entry ring (Scalar by default)."""
     shape = LegShape([nf.N] * (p + q))
     perm = tuple(range(p, p + q)) + tuple(range(p))
-    return LegMatrix.from_leg_permutation(shape, perm, nf.D, nf.mode)
+    return LegMatrix.from_leg_permutation(shape, perm, nf.D, nf.mode, one)
 
 
 def build_braiding(
@@ -96,9 +97,10 @@ def build_braiding(
     off: ArgShift | None = None,
     value: bool = False,
 ) -> LegMatrix:
-    """The braiding V (x) W -> W (x) V: block swap after inverting R_VW."""
-    rvw = build_rvw(nf, vword, wword, off, value)
-    return block_swap(nf, len(vword), len(wword)) * rvw.inv()
+    """The braiding V (x) W -> W (x) V: block swap after inverting R_VW,
+    both over the entry ring of R_VW."""
+    inv = build_rvw(nf, vword, wword, off, value).inv()
+    return block_swap(nf, len(vword), len(wword), inv.constant(1)) * inv
 
 
 def check_hexagon(

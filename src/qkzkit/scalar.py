@@ -3,7 +3,9 @@
 A Scalar is an array of D+1 rational functions of the curve coordinate w,
 graded by h-power, tagged with the coordinate mode: additive (w is the
 canonical parameter itself) or multiplicative (w is the group coordinate;
-translations act by w -> c*w and w -> w*exp(t)).
+translations act by w -> c*w and w -> w*exp(t)).  An HSeries operand of
+a ring operation is lifted into k(w)[[h]] by Scalar.from_hseries, so a
+symbolic operator may multiply one evaluated at a point.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ MULTIPLICATIVE = "multiplicative"
 
 
 class Scalar:
-    __slots__ = ("grades", "mode")
+    __slots__ = ("grades", "mode", "_chain")
 
     def __init__(self, grades, mode: str = ADDITIVE):
         self.grades = tuple(grades)
@@ -59,6 +61,20 @@ class Scalar:
     def from_hseries(s: HSeries, mode: str = ADDITIVE) -> "Scalar":
         return Scalar([RatFn.from_fraction(c) for c in s.coeffs], mode)
 
+    def _lift(self, other) -> "Scalar":
+        """other as a Scalar of self's mode; an HSeries is lifted."""
+        if isinstance(other, HSeries):
+            return Scalar.from_hseries(other, self.mode)
+        return other
+
+    def like(self, c) -> "Scalar":
+        """The constant c in the ring of self."""
+        return Scalar.const(c, self.truncation, self.mode)
+
+    def grade_part(self, m: int) -> "Scalar":
+        """The m-th grade as a Scalar concentrated in grade 0."""
+        return Scalar.from_ratfn(self.grades[m], self.truncation, self.mode)
+
     # -- structure ----------------------------------------------------
     @property
     def truncation(self) -> int:
@@ -91,23 +107,33 @@ class Scalar:
 
     # -- ring ops -----------------------------------------------------
     def __add__(self, other: "Scalar") -> "Scalar":
+        other = self._lift(other)
         self._check(other)
         return Scalar(
             [a + b for a, b in zip(self.grades, other.grades)], self.mode
         )
 
+    __radd__ = __add__
+
     def __neg__(self) -> "Scalar":
         return Scalar([-g for g in self.grades], self.mode)
 
     def __sub__(self, other: "Scalar") -> "Scalar":
+        other = self._lift(other)
         self._check(other)
         return Scalar(
             [a - b for a, b in zip(self.grades, other.grades)], self.mode
         )
 
+    def __rsub__(self, other: HSeries) -> "Scalar":
+        return self._lift(other) - self
+
     def __mul__(self, other: "Scalar") -> "Scalar":
+        other = self._lift(other)
         self._check(other)
         return Scalar(series_mul(self.grades, other.grades, RF_ZERO), self.mode)
+
+    __rmul__ = __mul__
 
     def mul_ratfn(self, r: RatFn) -> "Scalar":
         return Scalar([g * r for g in self.grades], self.mode)
@@ -192,18 +218,19 @@ class Scalar:
         D = self.truncation
         v0 = v.constant_part
         vp = v.positive_part()
+        if not hasattr(self, "_chain"):
+            # the derivatives self, self', ..., self^(D), once per Scalar
+            self._chain = [self]
+            for _ in range(D):
+                self._chain.append(self._chain[-1].diff())
         acc = HSeries.zero(D)
-        deriv = self
         power = HSeries.constant(1, D)
-        for j in range(D + 1):
-            term = HSeries(
-                [g.eval(v0) for g in deriv.grades]
-            ) * power
+        for j, deriv in enumerate(self._chain):
+            term = HSeries._of([g.eval(v0) for g in deriv.grades]) * power
             acc = acc + term.scale(Fraction(1, factorial(j)))
             power = power * vp
             if power.is_zero:
                 break
-            deriv = deriv.diff()
         return acc
 
     # -- comparisons --------------------------------------------------

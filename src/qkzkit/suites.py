@@ -38,7 +38,6 @@ from .reps import (
     check_intertwiner,
     check_rvw_unitarity,
 )
-from .scalar import Scalar
 from .serialize import decode_instance
 
 STATUS_OK = "exact-zero"
@@ -127,18 +126,16 @@ def suite_crossing(F: RMatrixFamily):
 
 
 def suite_normalize(nf: NormalizedFamily):
-    D, mode = nf.D, nf.mode
-    one = Scalar.one(D, mode)
-    pts = [Fraction(1), Fraction(5, 2)] if mode == "additive" else [
+    pts = [Fraction(1), Fraction(5, 2)] if nf.mode == "additive" else [
         Fraction(2), Fraction(3)
     ]
     return [
         ("normalized-qdet",
          "determinant element of the rescaled matrix acts as 1",
-         lambda: (nf.normalized_rho() - one).first_nonzero_grade()),
+         lambda: nf.qdet_defect()),
         ("normalized-unitarity",
          "rescaled R times its swapped reflection is the identity",
-         lambda: (nf.unitarity_scalar() - one).first_nonzero_grade()),
+         lambda: nf.unitarity_defect()),
         ("normalized-crossing",
          "double transpose-invert of rescaled R equals its displacement",
          lambda: nf.crossing_defect()),

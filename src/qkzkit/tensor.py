@@ -1,9 +1,11 @@
 """Multi-leg linear algebra over the scalar ring.
 
 A LegMatrix is a square operator on a tensor product of finite-dimensional
-spaces.  Entries are Scalars, stored sparsely as {(row, col): Scalar} with
-zeros omitted; row/column indices enumerate multi-indices in row-major leg
-order.  Legs are 1-based.
+spaces.  Entries are Scalars (k(w)[[h]]) or, for an operator evaluated at
+a point, HSeries (Q[[h]]); they are stored sparsely as {(row, col): entry}
+with zeros omitted, and zero and one are taken from the entry ring.  A
+product of the two kinds is over k(w)[[h]].  Row/column indices enumerate
+multi-indices in row-major leg order.  Legs are 1-based.
 """
 
 from __future__ import annotations
@@ -85,12 +87,15 @@ class LegMatrix:
         return LegMatrix(shape, {}, D, mode)
 
     @staticmethod
-    def from_leg_permutation(shape: LegShape, perm, D: int, mode: str = ADDITIVE) -> "LegMatrix":
+    def from_leg_permutation(
+        shape: LegShape, perm, D: int, mode: str = ADDITIVE, one=None
+    ) -> "LegMatrix":
         """Operator sending e_{i_1} x...x e_{i_k} to the legs reordered by perm.
 
-        perm is 0-based: output leg p receives input leg perm[p].
+        perm is 0-based: output leg p receives input leg perm[p]; one is the
+        unit of the entry ring (Scalar by default).
         """
-        one = Scalar.one(D, mode)
+        one = Scalar.one(D, mode) if one is None else one
         out_dims = tuple(shape.dims[p] for p in perm)
         out_shape = LegShape(out_dims)
         entries = {}
@@ -107,9 +112,16 @@ class LegMatrix:
         if self.D != other.D or self.mode != other.mode:
             raise ShapeMismatch("mixed truncation or mode")
 
-    def get(self, r: int, c: int) -> Scalar:
+    def constant(self, c):
+        """The constant c in the entry ring (Scalar when there are no
+        entries)."""
+        for v in self.entries.values():
+            return v.like(c)
+        return Scalar.const(c, self.D, self.mode)
+
+    def get(self, r: int, c: int):
         s = self.entries.get((r, c))
-        return s if s is not None else Scalar.zero(self.D, self.mode)
+        return s if s is not None else self.constant(0)
 
     @property
     def is_zero(self) -> bool:
@@ -228,7 +240,7 @@ class LegMatrix:
         Raises SingularMatrix naming the first column with no unit pivot.
         """
         n = self.shape.total
-        one = Scalar.one(self.D, self.mode)
+        one = self.constant(1)
         rows = [{n + r: one} for r in range(n)]
         for (r, c), v in self.entries.items():
             rows[r][c] = v
@@ -258,22 +270,25 @@ class LegMatrix:
 
     def grade_matrix(self, m: int) -> "LegMatrix":
         """The m-th h-grade as a LegMatrix concentrated in grade 0."""
-        out = {}
-        for (r, c), v in self.entries.items():
-            g = v.grades[m]
-            if not g.is_zero:
-                out[(r, c)] = Scalar.from_ratfn(g, self.D, self.mode)
+        out = {k: v.grade_part(m) for k, v in self.entries.items()}
         return LegMatrix(self.shape, out, self.D, self.mode)
 
     # -- entrywise maps -----------------------------------------------
     def map_entries(self, fn) -> "LegMatrix":
-        return LegMatrix(
-            self.shape, {k: fn(v) for k, v in self.entries.items()}, self.D, self.mode
-        )
+        """fn applied entrywise, once per distinct entry value."""
+        memo: dict = {}
+        out = {}
+        for k, v in self.entries.items():
+            y = memo.get(v)
+            if y is None:
+                y = memo[v] = fn(v)
+            out[k] = y
+        return LegMatrix(self.shape, out, self.D, self.mode)
 
     def apply(self, vec):
-        """Matrix-vector product; vec is a list of Scalars."""
-        out = [Scalar.zero(self.D, self.mode) for _ in range(self.shape.total)]
+        """Matrix-vector product; vec is a list of Scalars or HSeries."""
+        zero = self.constant(0)
+        out = [zero] * self.shape.total
         for (r, c), v in self.entries.items():
             if not vec[c].is_zero:
                 out[r] = out[r] + v * vec[c]
@@ -349,8 +364,8 @@ class Elimination:
     """Sparse Gauss-Jordan elimination that records its row operations.
 
     Entries are RatFns (a field).  The elimination itself also runs on
-    Scalars (a local ring, where only a unit can pivot), which is what
-    LegMatrix.inv uses; solve() and kernel() are for RatFn entries only.
+    Scalars and HSeries (local rings, where only a unit can pivot), which is
+    what LegMatrix.inv uses; solve() and kernel() are for RatFn entries only.
     rows are sparse ({col: entry}, zeros omitted) and are reduced in place
     to reduced row echelon form in their first ncols columns; entries at
     columns >= ncols ride along but are never pivoted on.  Columns are taken left to right; a column pivots on the

@@ -17,7 +17,7 @@ from qkzkit.qdet import (
     solve_f0,
 )
 from qkzkit.ratfn import RF_ONE, RF_ZERO, RatFn
-from qkzkit.scalar import Scalar
+from qkzkit.scalar import Point, Scalar
 from qkzkit.suites import run_checks, suite_normalize
 from qkzkit.tensor import Elimination, LegMatrix
 
@@ -193,3 +193,55 @@ class TestPairing:
         )
         grade = check_pairing_qdet(nf, pts, raw=True)
         assert grade is not None and grade >= 1
+
+
+class TestValues:
+    """NormalizedFamily.r_value: Rbar at a point, over Q[[h]], memoized."""
+
+    @pytest.mark.parametrize("name", ["nf_rat2", "nf_trig"])
+    def test_entries_are_the_symbolic_entries_evaluated(self, name, request):
+        nf = request.getfixturevalue(name)
+        D, c = nf.D, Fraction(3, 2)
+        step = HSeries.h(D).scale(3)
+        for off in (ArgShift.of(c, D), ArgShift(c, step)):
+            if nf.mode == "additive":
+                value = HSeries.constant(c, D) + off.hpart
+            else:
+                value = off.hpart.scale(nf.family.hshift_scale).exp().scale(c)
+            p = Point(value, nf.mode)
+            m = nf.r_value(off)
+            n = nf.rbar.shape.total
+            for r in range(n):
+                for col in range(n):
+                    sym = nf.rbar.get(r, col)
+                    # a fresh Scalar, so no derivative chain is shared
+                    want = Scalar(sym.grades, sym.mode).eval(p)
+                    assert m.get(r, col) == want
+
+    def test_repeated_argument_is_not_evaluated_again(self, nf_rat2, monkeypatch):
+        nf = NormalizedFamily(nf_rat2.family, nf_rat2.qdet, nf_rat2.rho, nf_rat2.f0)
+        calls = []
+        evaluate = Scalar.eval
+
+        def counting(s, p):
+            calls.append(1)
+            return evaluate(s, p)
+
+        monkeypatch.setattr(Scalar, "eval", counting)
+        first = nf.r_value(ArgShift.of(Fraction(5, 2), nf.D))
+        assert len(calls) == 3  # three distinct entries of rational N = 2
+        again = nf.r_value(ArgShift.of(Fraction(5, 2), nf.D))
+        assert len(calls) == 3 and again == first
+
+
+class TestNormalizedRowsReportGrades:
+    def test_planted_off_diagonal_fault(self):
+        # h^2 e_01 added to Rbar: neither operator is scalar any more, and
+        # both rows report the grade instead of an error
+        nf = normalize(build_rational(2, 2))
+        h2 = Scalar.from_hseries(HSeries.h(nf.D, 2), nf.mode)
+        fault = LegMatrix(nf.rbar.shape, {(0, 1): h2}, nf.D, nf.mode)
+        nf.rbar = nf.rbar + fault
+        status = {r.name: r.status for r in run_checks(suite_normalize(nf))}
+        assert status["normalized-qdet"] == "fails-at-grade-2"
+        assert status["normalized-unitarity"] == "fails-at-grade-2"

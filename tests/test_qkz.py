@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from qkzkit import qkz
 from qkzkit.errors import ShapeMismatch
 from qkzkit.families import ArgShift
 from qkzkit.hseries import HSeries
@@ -16,7 +17,7 @@ from qkzkit.qkz import (
     first_order_solution,
     residual_qkz,
 )
-from qkzkit.reps import ComoduleWord
+from qkzkit.reps import ComoduleWord, build_braiding
 from qkzkit.scalar import Scalar
 from qkzkit.tensor import LegMatrix
 
@@ -91,6 +92,47 @@ class TestNabla:
         nab = build_nabla(inst, 1)
         ident = inst.nf.identity(2)
         assert nab * nab.inv() == ident
+
+
+class TestEvaluatedPath:
+    """The connection runs over Q[[h]] and still detects faults."""
+
+    #: five base points, one unit word each, central charge 1
+    POINTS = [Fraction(2), Fraction(3), Fraction(9, 2), Fraction(13, 2), Fraction(9)]
+
+    def five_points(self, nf):
+        D = nf.D
+        words = tuple(ComoduleWord.of([Fraction(0)], D) for _ in self.POINTS)
+        z = tuple(ArgShift.of(c, D) for c in self.POINTS)
+        return QKZInstance(nf, z, words, HSeries.constant(1, D))
+
+    def test_dropped_step_shift_fails_at_grade_two(self, nf_rat2):
+        inst = self.five_points(nf_rat2)
+        assert nf_rat2.D == 4
+        assert check_flatness(inst, "drop-step-shift") == 2
+
+    def test_operators_have_hseries_entries(self, nf_rat2):
+        inst = make_instance(nf_rat2, 3)
+        beta = build_braiding(
+            nf_rat2, inst.words[0], inst.words[1], ArgShift.of(2, nf_rat2.D),
+            value=True,
+        )
+        for m in (build_nabla(inst, 2), beta):
+            assert all(isinstance(v, HSeries) for v in m.entries.values())
+
+    def test_each_unstepped_nabla_is_built_once(self, nf_rat2, monkeypatch):
+        inst = make_instance(nf_rat2, 3)
+        calls = []
+        build = qkz.build_nabla
+
+        def counting(inst, i, z=None):
+            calls.append(z is None)
+            return build(inst, i, z)
+
+        monkeypatch.setattr(qkz, "build_nabla", counting)
+        assert check_flatness(inst) is None
+        # three unstepped operators, and two stepped ones per index pair
+        assert calls.count(True) == 3 and calls.count(False) == 6
 
 
 class TestFlatness:

@@ -148,3 +148,29 @@ class TestHGrading:
         assert Scalar.zero(D).first_nonzero_grade() is None
         assert Scalar.one(D).first_nonzero_grade() == 0
         assert Scalar.one(D).times_h().first_nonzero_grade() == 1
+
+
+class TestMixedRing:
+    """An HSeries operand is lifted into k(w)[[h]] by Scalar.from_hseries."""
+
+    @given(
+        st.sampled_from([ADDITIVE, MULTIPLICATIVE]).flatmap(scalars),
+        hserieses,
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_arithmetic_matches_the_lift(self, s, a):
+        lift = Scalar.from_hseries(a, s.mode)
+        assert s + a == s + lift
+        assert a + s == lift + s
+        assert s - a == s - lift
+        assert a - s == lift - s
+        assert s * a == s * lift
+        assert a * s == lift * s
+
+    @given(hserieses)
+    @settings(max_examples=60, deadline=None)
+    def test_predicates_match_the_lift(self, a):
+        lift = Scalar.from_hseries(a)
+        assert a.is_unit == lift.is_unit
+        assert bool(a) == bool(lift)
+        assert a.first_nonzero_grade() == lift.first_nonzero_grade()

@@ -5,6 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qkzkit.errors import ShapeMismatch, SingularMatrix
+from qkzkit.families import build_rational
+from qkzkit.hseries import HSeries
 from qkzkit.ratfn import RF_ONE, RF_ZERO, RatFn
 from qkzkit.scalar import ADDITIVE, MULTIPLICATIVE, Scalar
 from qkzkit.tensor import (
@@ -302,3 +304,33 @@ def test_solve_linear_sympy_oracle():
         want[p] = red[r, 4]
     assert [sympy.cancel(to_sympy(a) - b) for a, b in zip(x, want)] == [0] * 4
     assert not x[2] and not x[3]
+
+
+class TestMapEntries:
+    def test_once_per_distinct_entry(self):
+        # rational N = 2: six entries, three distinct values
+        base = build_rational(2, 2).base
+        seen = []
+
+        def fn(s):
+            seen.append(s)
+            return s.scale(2)
+
+        out = base.map_entries(fn)
+        assert len(base.entries) == 6 and len(seen) == 3
+        assert out == base + base
+
+
+class TestEvaluatedEntries:
+    def test_zero_and_one_from_the_entry_ring(self):
+        shape = LegShape([2])
+        one = HSeries.constant(1, 2)
+        m = LegMatrix(shape, {(0, 0): one.scale(3), (1, 1): one}, 2)
+        assert m.get(0, 1) == HSeries.zero(2)
+        assert all(isinstance(v, HSeries) for v in m.inv().entries.values())
+        assert m.inv() * m == LegMatrix.identity(shape, 2)
+        assert m.grade_matrix(0) == m and m.grade_matrix(1).is_zero
+        # mixed with a symbolic operator, the product is over k(w)[[h]]
+        w = LegMatrix.identity(shape, 2).mul_scalar(Scalar.coordinate(2))
+        assert all(isinstance(v, Scalar) for v in (m * w).entries.values())
+        assert m * w == w * m
