@@ -1,5 +1,6 @@
 """Golden reports: the CLI's full report, minus its timing fields, must stay
-byte-identical to the committed one for two fixed configs.
+byte-identical to the committed one for each fixed config: suite `all` at
+D=2, and suite `normalize` at D=4, whose pairing rows reach grades 3 and 4.
 
 A refactor that changes any verdict, check name, identity text, config echo
 or key order shows up here.  To regenerate after an intended change:
@@ -20,6 +21,12 @@ CONFIGS = {
     "rational-N2-D2-all": {"family": "rational", "N": 2, "D": 2, "suite": "all"},
     "trigonometric-N2-D2-all": {
         "family": "trigonometric", "N": 2, "D": 2, "suite": "all",
+    },
+    "rational-N3-D4-normalize": {
+        "family": "rational", "N": 3, "D": 4, "suite": "normalize",
+    },
+    "trigonometric-N2-D4-normalize": {
+        "family": "trigonometric", "N": 2, "D": 4, "suite": "normalize",
     },
 }
 
