@@ -260,13 +260,18 @@ def _build_trigonometric_matrix(D: int) -> LegMatrix:
 
 # -- the ladder of R-factors on an auxiliary leg ------------------------
 
-def ladder(F, offs) -> LegMatrix:
-    """R^{1,2}(off_1) R^{1,3}(off_2) ... on legs [N]^(1+len(offs)), leg 1
-    auxiliary, for a raw or a normalized family F.  The product starts
-    from its first factor; an empty offs gives Id on [N]."""
+def ladder_factors(F, offs) -> list:
+    """R^{1,2}(off_1), R^{1,3}(off_2), ... on legs [N]^(1+len(offs)), leg 1
+    auxiliary, for a raw or a normalized family F."""
     big = LegShape([F.N] * (1 + len(offs)))
-    factors = (F.r(off).embed(big, (1, k)) for k, off in enumerate(offs, start=2))
-    return LegMatrix.product(factors, big, F.D, F.mode)
+    return [F.r(off).embed(big, (1, k)) for k, off in enumerate(offs, start=2)]
+
+
+def ladder(F, offs) -> LegMatrix:
+    """The product R^{1,2}(off_1) R^{1,3}(off_2) ... of the ladder factors,
+    started from its first factor; an empty offs gives Id on [N]."""
+    big = LegShape([F.N] * (1 + len(offs)))
+    return LegMatrix.product(ladder_factors(F, offs), big, F.D, F.mode)
 
 
 # -- sample handling ---------------------------------------------------

@@ -13,13 +13,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 
-from .errors import KernelError, LiftFailure, NonUnitError
+from .errors import KernelError, LiftFailure, NonUnitError, ShapeMismatch
 from .families import (
     ArgShift,
     RMatrixFamily,
     displaced,
     extract_scalar,
     ladder,
+    ladder_factors,
     shift_scalar,
     shift_sub,
     unitarity_product,
@@ -29,7 +30,7 @@ from .families import (
 from .hseries import HSeries
 from .ratfn import RF_ONE, RF_ZERO, RatFn
 from .scalar import Scalar
-from .tensor import Elimination, LegMatrix, LegShape
+from .tensor import Elimination, LegMatrix, LegShape, certified_grade
 
 
 def ladder_shifts(N: int, D: int) -> list[HSeries]:
@@ -195,6 +196,22 @@ def find_qdet_vector(F: RMatrixFamily) -> QDetData:
     return QDetData(N, D, F.mode, tuple(shifts), coeffs, eig)
 
 
+def contract(coeffs: dict, mats) -> LegMatrix:
+    """sum_i C_i x_{1 i_1} ... x_{N i_N} for the determinant coefficients C
+    and the blocks of the N operators x = mats, whose leg 1 is the
+    auxiliary [N] leg; the result acts on the remaining legs."""
+    sub = LegShape(mats[0].shape.dims[1:])
+    D, mode = mats[0].D, mats[0].mode
+    blocks = [aux_blocks(mk) for mk in mats]
+    out = LegMatrix.zero(sub, D, mode)
+    for idx in sorted(coeffs):
+        prod = LegMatrix.product(
+            (blocks[k][(k, ik)] for k, ik in enumerate(idx)), sub, D, mode
+        )
+        out = out + prod.mul_scalar(coeffs[idx])
+    return out
+
+
 def qdet_apply(qd: QDetData, x_at) -> LegMatrix:
     """Image of the determinant element under blocks of x.
 
@@ -202,18 +219,7 @@ def qdet_apply(qd: QDetData, x_at) -> LegMatrix:
     the result acts on the remaining legs:
     sum_i C_i x_{1 i_1}(s_1) ... x_{N i_N}(s_N).
     """
-    mats = [x_at(s) for s in qd.shifts]
-    sub = LegShape(mats[0].shape.dims[1:])
-    blocks = [aux_blocks(mk) for mk in mats]
-    out = LegMatrix.zero(sub, qd.D, qd.mode)
-    for idx in sorted(qd.coeffs):
-        c = qd.coeffs[idx]
-        prod = None
-        for k, ik in enumerate(idx):
-            factor = blocks[k][(k, ik)]
-            prod = factor if prod is None else prod * factor
-        out = out + prod.mul_scalar(c)
-    return out
+    return contract(qd.coeffs, [x_at(s) for s in qd.shifts])
 
 
 def compute_rho(F: RMatrixFamily, qd: QDetData, r_at=None) -> Scalar:
@@ -331,27 +337,53 @@ def normalize(F: RMatrixFamily) -> NormalizedFamily:
     return nf
 
 
+def pairing_contraction(nf: NormalizedFamily, points, y=Fraction(0), raw=False):
+    """The determinant contraction through an n-fold ladder of R-factors at
+    the given evaluation points (shifted by y), minus Id, as (factors,
+    residual).
+
+    factors are the N ladders' displaced Rbar-factors (R-factors when raw)
+    in order, then the determinant coefficients; residual(factors) is the
+    contraction minus Id over the ring of the factors' entries, so it also
+    takes the factors evaluated at a point.
+    """
+    D, mode, n = nf.D, nf.mode, len(points)
+    if not n:
+        raise ShapeMismatch("the pairing ladder needs at least one point")
+    src = nf.family if raw else nf
+    factors = []
+    for s in nf.qdet.shifts:
+        # the arguments w + s + y - a
+        here = ArgShift(Fraction(y), s)
+        factors += ladder_factors(
+            src, [shift_sub(here, ArgShift.of(a, D), mode) for a in points]
+        )
+    factors.append(nf.qdet.coeffs)
+    big = factors[0].shape
+
+    def residual(fs):
+        *rs, coeffs = fs
+        ladders = [
+            LegMatrix.product(rs[i:i + n], big, D, mode)
+            for i in range(0, len(rs), n)
+        ]
+        image = contract(coeffs, ladders)
+        return image - LegMatrix.identity(image.shape, D, mode, image.constant(1))
+
+    return factors, residual
+
+
 def check_pairing_qdet(nf: NormalizedFamily, points, y=Fraction(0), raw=False):
     """Defect of the determinant element acting through an n-fold ladder of
     R-factors at the given evaluation points (shifted by y).
 
     Returns the first nonzero grade of (result - Id), or None when the
-    action is exactly the identity.  With raw=True the un-rescaled family
-    is used instead, which is the control that the normalization matters.
+    action is exactly the identity, decided by certified evaluation of
+    pairing_contraction.  With raw=True the un-rescaled family is used
+    instead, which is the control that the normalization matters.
     """
-    N, D = nf.N, nf.D
-    src = nf.family if raw else nf
-
-    def x_at(s):
-        # the arguments w + s + y - a
-        here = ArgShift(Fraction(y), s)
-        return ladder(
-            src, [shift_sub(here, ArgShift.of(a, D), nf.mode) for a in points]
-        )
-
-    result = qdet_apply(nf.qdet, x_at)
-    ident = LegMatrix.identity(LegShape([N] * len(points)), D, nf.mode)
-    return (result - ident).first_nonzero_grade()
+    factors, residual = pairing_contraction(nf, points, y, raw)
+    return certified_grade(factors, residual, nf.D, nf.mode)
 
 
 def check_pairing_control(nf: NormalizedFamily, points):

@@ -97,6 +97,13 @@ def pgcd(a: Poly, b: Poly) -> Poly:
     return pmonic(a)
 
 
+def plcm(a: Poly, b: Poly) -> Poly:
+    """Least common multiple of two monic polynomials."""
+    if a == b:
+        return a
+    return pmul(a, pdivmod(b, pgcd(a, b))[0])
+
+
 def pdiff(a: Poly) -> Poly:
     return ptrim(tuple(a[i] * i for i in range(1, len(a))))
 

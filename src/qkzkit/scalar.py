@@ -218,15 +218,17 @@ class Scalar:
         D = self.truncation
         v0 = v.constant_part
         vp = v.positive_part()
+        # the derivatives self, self', ..., once per Scalar, each built only
+        # when the h-part's power survives to it
         if not hasattr(self, "_chain"):
-            # the derivatives self, self', ..., self^(D), once per Scalar
             self._chain = [self]
-            for _ in range(D):
-                self._chain.append(self._chain[-1].diff())
+        chain = self._chain
         acc = HSeries.zero(D)
         power = HSeries.constant(1, D)
-        for j, deriv in enumerate(self._chain):
-            term = HSeries._of([g.eval(v0) for g in deriv.grades]) * power
+        for j in range(D + 1):
+            if j == len(chain):
+                chain.append(chain[-1].diff())
+            term = HSeries._of([g.eval(v0) for g in chain[j].grades]) * power
             acc = acc + term.scale(Fraction(1, factorial(j)))
             power = power * vp
             if power.is_zero:

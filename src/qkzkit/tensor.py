@@ -6,17 +6,22 @@ a point, HSeries (Q[[h]]); they are stored sparsely as {(row, col): entry}
 with zeros omitted, and zero and one are taken from the entry ring.  A
 product of the two kinds is over k(w)[[h]].  Row/column indices enumerate
 multi-indices in row-major leg order.  Legs are 1-based.
+
+certified_grade decides the first failing grade of a product identity
+exactly from the identity evaluated at a few points of the curve.
 """
 
 from __future__ import annotations
+
+from itertools import count
 
 from .errors import (
     LiftFailure,
     ShapeMismatch,
     SingularMatrix,
 )
-from .ratfn import RF_ONE, RF_ZERO, RatFn
-from .scalar import ADDITIVE, Scalar
+from .ratfn import P_ONE, RF_ONE, RF_ZERO, RatFn, pdeg, peval, plcm, pmul
+from .scalar import ADDITIVE, Point, Scalar
 
 
 def least_grade(grades) -> int | None:
@@ -69,8 +74,12 @@ class LegMatrix:
 
     # -- constructors -------------------------------------------------
     @staticmethod
-    def identity(shape: LegShape, D: int, mode: str = ADDITIVE) -> "LegMatrix":
-        one = Scalar.one(D, mode)
+    def identity(
+        shape: LegShape, D: int, mode: str = ADDITIVE, one=None
+    ) -> "LegMatrix":
+        """Id on shape; one is the unit of the entry ring (Scalar by
+        default)."""
+        one = Scalar.one(D, mode) if one is None else one
         return LegMatrix(shape, {(i, i): one for i in range(shape.total)}, D, mode)
 
     @staticmethod
@@ -482,3 +491,99 @@ def solve_linear(matrix, b):
     """One solution x of matrix @ x = b over the RatFn field, or None."""
     ncols = len(matrix[0]) if matrix else 0
     return Elimination(_sparse(matrix), ncols).solve(b)
+
+
+# -- certified evaluation: a product identity decided at a few points ----
+
+def _entries(factor):
+    """The distinct entries of a factor: a LegMatrix or a dict of Scalars."""
+    if isinstance(factor, LegMatrix):
+        factor = factor.entries
+    return {id(v): v for v in factor.values()}.values()
+
+
+def _at(factor, p: Point):
+    """factor with every entry evaluated at the point p."""
+    if isinstance(factor, LegMatrix):
+        return factor.map_entries(lambda s: s.eval(p))
+    return {k: v.eval(p) for k, v in factor.items()}
+
+
+def degree_bounds(factors, D: int) -> list:
+    """(Lambda_g, B_g) for each grade g <= D, or None where nothing reaches
+    grade g.
+
+    For any Q-linear combination of products that take at most one entry
+    from each factor (a skipped factor counts as the constant 1 at grade 0),
+    Lambda_g times the grade-g part is a polynomial in w of degree at most
+    B_g.  Per factor and grade m, den is the lcm of the entry denominators
+    and delta the largest deg num - deg den; Lambda_g is the lcm over the
+    grade compositions of g of the products of dens, which runs factor by
+    factor since lcm(a x, a y) = a lcm(x, y), and B_g is deg Lambda_g plus
+    the largest sum of deltas over the same compositions.
+    """
+    reach = {0: (P_ONE, 0)}
+    for f in factors:
+        opts = {0: (P_ONE, 0)}  # the factor skipped
+        for s in _entries(f):
+            for m, r in enumerate(s.grades):
+                if r:
+                    d = pdeg(r.num) - pdeg(r.den)
+                    if m in opts:
+                        den, delta = opts[m]
+                        opts[m] = (plcm(den, r.den), max(delta, d))
+                    else:
+                        opts[m] = (r.den, d)
+        nxt: dict = {}
+        for g0, (lam0, d0) in reach.items():
+            for m, (den, delta) in opts.items():
+                g = g0 + m
+                if g > D:
+                    continue
+                lam, d = pmul(lam0, den), d0 + delta
+                if g in nxt:
+                    lam = plcm(nxt[g][0], lam)
+                    d = max(nxt[g][1], d)
+                nxt[g] = (lam, d)
+        reach = nxt
+    return [
+        (reach[g][0], pdeg(reach[g][0]) + reach[g][1]) if g in reach else None
+        for g in range(D + 1)
+    ]
+
+
+def _small_integers():
+    yield 0
+    for k in count(1):
+        yield k
+        yield -k
+
+
+def certified_grade(factors, residual, D: int, mode: str = ADDITIVE) -> int | None:
+    """residual(factors).first_nonzero_grade(), decided at a few points.
+
+    factors are LegMatrices or dicts of Scalars; residual maps them, or
+    the same factors evaluated at a point (HSeries entries), to a LegMatrix
+    whose grade-g entries are Q-linear combinations of products taking at
+    most one entry from each factor.  Evaluation at a point that is no
+    pole commutes with the ring operations, and Lambda_g times the grade-g
+    residual is a polynomial of degree at most B_g (degree_bounds), so
+    grade g is zero once B_g + 1 points read zero there; a nonzero reading
+    is exact.  The points are the small integers that are no root of a
+    denominator (and not 0 in the multiplicative coordinate), taken until
+    every grade below the least failing one seen has its B_g + 1 points.
+    """
+    bounds = degree_bounds(factors, D)
+    dens = [b[0] for b in bounds if b is not None]
+    need = [0 if b is None else b[1] + 1 for b in bounds]
+    best, used = None, 0
+    for x in _small_integers():
+        if used >= max(need[:best], default=0):
+            break
+        if (mode != ADDITIVE and x == 0) or any(peval(lam, x) == 0 for lam in dens):
+            continue
+        p = Point.of(x, D, mode)
+        grade = residual([_at(f, p) for f in factors]).first_nonzero_grade()
+        best = least_grade([best, grade])
+        used += 1
+    return best

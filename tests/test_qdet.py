@@ -1,8 +1,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qkzkit.errors import NonUnitError
+from qkzkit.errors import NonUnitError, ShapeMismatch
 from qkzkit.families import ArgShift, build_rational, shift_scalar
 from qkzkit.hseries import HSeries
 from qkzkit.qdet import (
@@ -14,12 +16,13 @@ from qkzkit.qdet import (
     find_qdet_vector,
     ladder_shifts,
     normalize,
+    pairing_contraction,
     solve_f0,
 )
-from qkzkit.ratfn import RF_ONE, RF_ZERO, RatFn
+from qkzkit.ratfn import RF_ONE, RF_ZERO, RatFn, pdeg, pdivmod, pmul
 from qkzkit.scalar import Point, Scalar
 from qkzkit.suites import run_checks, suite_normalize
-from qkzkit.tensor import Elimination, LegMatrix
+from qkzkit.tensor import Elimination, LegMatrix, certified_grade, degree_bounds
 
 
 class TestLadderShifts:
@@ -151,10 +154,17 @@ class TestPairing:
         assert check_pairing_qdet(nf, pts1) is None
         assert check_pairing_qdet(nf, pts2) is None
 
+    def test_empty_points_are_rejected(self, nf_rat2):
+        with pytest.raises(ShapeMismatch):
+            check_pairing_qdet(nf_rat2, [])
+
     def test_ladders_start_from_their_first_factor(self, monkeypatch):
         # N = 2: two products in the contraction and one per ladder (N
-        # ladders of two factors); multiplying Id in first took N more
+        # ladders of two factors); multiplying Id in first took N more.
+        # The symbolic residual and the residual at each evaluation point
+        # take the same products, at D + 1 points since B_g = g
         nf = normalize(build_rational(2, 2))
+        factors, residual = pairing_contraction(nf, [Fraction(1), Fraction(5, 2)])
         calls = []
         mul = LegMatrix.__mul__
 
@@ -163,8 +173,19 @@ class TestPairing:
             return mul(a, b)
 
         monkeypatch.setattr(LegMatrix, "__mul__", counting)
-        assert check_pairing_qdet(nf, [Fraction(1), Fraction(5, 2)]) is None
+        assert residual(factors).is_zero
         assert len(calls) == 4
+
+        per_point = []
+
+        def counted(fs):
+            before = len(calls)
+            out = residual(fs)
+            per_point.append(len(calls) - before)
+            return out
+
+        assert certified_grade(factors, counted, nf.D, nf.mode) is None
+        assert per_point == [4] * (nf.D + 1)
 
     def test_control_fails_when_the_rescaling_is_a_no_op(self, nf_rat2):
         # a family that is already normalized: its raw contraction is Id at
@@ -245,3 +266,86 @@ class TestNormalizedRowsReportGrades:
         status = {r.name: r.status for r in run_checks(suite_normalize(nf))}
         assert status["normalized-qdet"] == "fails-at-grade-2"
         assert status["normalized-unitarity"] == "fails-at-grade-2"
+
+
+def pairing_points(nf):
+    return (
+        [Fraction(1), Fraction(5, 2)]
+        if nf.mode == "additive"
+        else [Fraction(2), Fraction(3)]
+    )
+
+
+class TestCertifiedPairing:
+    """check_pairing_qdet decides its grade by certified evaluation; the
+    symbolic residual of pairing_contraction is the oracle."""
+
+    @pytest.mark.parametrize("raw", [False, True])
+    @pytest.mark.parametrize("name", ["nf_rat2", "nf_rat3", "nf_trig"])
+    def test_degree_bound_holds(self, name, raw, request):
+        # Lambda_g times every grade-g residual entry clears to a
+        # polynomial of degree at most B_g
+        nf = request.getfixturevalue(name)
+        factors, residual = pairing_contraction(nf, pairing_points(nf), raw=raw)
+        bounds = degree_bounds(factors, nf.D)
+        image = residual(factors)
+        assert raw == (not image.is_zero)
+        for v in image.entries.values():
+            for g, r in enumerate(v.grades):
+                if not r:
+                    continue
+                lam, bound = bounds[g]
+                q, rem = pdivmod(pmul(lam, r.num), r.den)
+                assert rem == () and pdeg(q) <= bound
+
+    @pytest.mark.parametrize("name", ["nf_rat2", "nf_trig"])
+    def test_planted_h3_fault_in_rbar(self, name, request):
+        # h^3 / (w - 1) added to one entry of Rbar: both paths see grade 3
+        nf = request.getfixturevalue(name)
+        grades = [RF_ZERO] * (nf.D + 1)
+        grades[3] = RatFn((Fraction(1),), (Fraction(-1), Fraction(1)))
+        bad = NormalizedFamily(nf.family, nf.qdet, nf.rho, nf.f0)
+        fault = {(0, 1): Scalar(grades, nf.mode)}
+        bad.rbar = nf.rbar + LegMatrix(nf.rbar.shape, fault, nf.D, nf.mode)
+        pts = pairing_points(nf)
+        factors, residual = pairing_contraction(bad, pts)
+        assert residual(factors).first_nonzero_grade() == 3
+        assert check_pairing_qdet(bad, pts) == 3
+
+
+@pytest.fixture(scope="module")
+def nf_rat2_d3():
+    return normalize(build_rational(2, 3))
+
+
+@st.composite
+def planted_faults(draw, D=3, n=8):
+    """(factor, (row, col), grade, c w^k / (w - b)^e) with small integers."""
+    k, e = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    b = draw(st.integers(-3, 3))
+    c = draw(st.fractions(min_value=-3, max_value=3, max_denominator=3).filter(bool))
+    den = (Fraction(1),)
+    for _ in range(e):
+        den = pmul(den, (Fraction(-b), Fraction(1)))
+    fault = RatFn((Fraction(0),) * k + (c,), den)
+    return (
+        draw(st.integers(0, 3)),
+        (draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))),
+        draw(st.integers(0, D)),
+        fault,
+    )
+
+
+@given(planted_faults(), st.booleans())
+@settings(max_examples=25, deadline=None)
+def test_certified_grade_matches_the_symbolic_residual(nf_rat2_d3, planted, raw):
+    # a rational perturbation of one entry of one ladder factor at one grade
+    nf = nf_rat2_d3
+    i, key, grade, fault = planted
+    factors, residual = pairing_contraction(nf, [Fraction(1), Fraction(5, 2)], raw=raw)
+    grades = [RF_ZERO] * (nf.D + 1)
+    grades[grade] = fault
+    f = factors[i]
+    factors[i] = f + LegMatrix(f.shape, {key: Scalar(grades, nf.mode)}, nf.D, nf.mode)
+    want = residual(factors).first_nonzero_grade()
+    assert certified_grade(factors, residual, nf.D, nf.mode) == want

@@ -13,6 +13,7 @@ from qkzkit.ratfn import (
     RatFn,
     pdivmod,
     pgcd,
+    plcm,
     pmonic,
     pmul,
     ptrim,
@@ -102,6 +103,17 @@ class TestConstantGcd:
         for num, den in ((c, p), (p, c)):
             r = RatFn(num, den)
             assert (r.num, r.den) == euclid_canonical(num, den)
+
+
+class TestLcm:
+    @given(nonzero_polys, nonzero_polys, nonzero_polys)
+    @settings(max_examples=60, deadline=None)
+    def test_lcm_is_the_least_common_multiple(self, a, b, g):
+        # of monic inputs: both divide it, and it times the gcd is a * b
+        a, b = pmonic(pmul(a, g)), pmonic(pmul(b, g))
+        m = plcm(a, b)
+        assert pdivmod(m, a)[1] == () and pdivmod(m, b)[1] == ()
+        assert pmul(m, pgcd(a, b)) == pmul(a, b)
 
 
 class TestFieldAxioms:

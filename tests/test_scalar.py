@@ -105,6 +105,38 @@ class TestShift:
         assert lhs == rhs
 
 
+class TestEvalDerivatives:
+    """Scalar.eval builds derivative j only when the point's h-part power
+    survives to j."""
+
+    def count_diffs(self, monkeypatch):
+        calls = []
+        diff = Scalar.diff
+
+        def counting(s):
+            calls.append(1)
+            return diff(s)
+
+        monkeypatch.setattr(Scalar, "diff", counting)
+        return calls
+
+    def test_constant_point_adds_no_derivative(self, monkeypatch):
+        calls = self.count_diffs(monkeypatch)
+        s = Scalar([RatFn((Fraction(1),), (Fraction(-1), Fraction(1)))] * (D + 1))
+        s.eval(Point.of(Fraction(3), D))
+        assert calls == []
+
+    @pytest.mark.parametrize("power, diffs", [(1, D), (2, 1)])
+    def test_h_part_builds_the_surviving_derivatives(self, monkeypatch, power, diffs):
+        calls = self.count_diffs(monkeypatch)
+        s = Scalar([RatFn((Fraction(1),), (Fraction(-1), Fraction(1)))] * (D + 1))
+        s.eval(Point(HSeries.constant(3, D) + HSeries.h(D, power)))
+        assert len(calls) == diffs
+        # the chain is kept: evaluating again builds nothing
+        s.eval(Point(HSeries.constant(5, D) + HSeries.h(D, power)))
+        assert len(calls) == diffs
+
+
 class TestMultiplicativeCoordinate:
     @given(hserieses)
     @settings(max_examples=40, deadline=None)
