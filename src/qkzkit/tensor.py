@@ -574,13 +574,13 @@ def certified_grade(factors, residual, D: int, mode: str = ADDITIVE) -> int | No
     every grade below the least failing one seen has its B_g + 1 points.
     """
     bounds = degree_bounds(factors, D)
-    dens = [b[0] for b in bounds if b is not None]
+    lams = [b[0] for b in bounds if b is not None]
     need = [0 if b is None else b[1] + 1 for b in bounds]
     best, used = None, 0
     for x in _small_integers():
         if used >= max(need[:best], default=0):
             break
-        if (mode != ADDITIVE and x == 0) or any(peval(lam, x) == 0 for lam in dens):
+        if (mode != ADDITIVE and x == 0) or any(peval(lam, x) == 0 for lam in lams):
             continue
         p = Point.of(x, D, mode)
         grade = residual([_at(f, p) for f in factors]).first_nonzero_grade()
