@@ -93,16 +93,20 @@ def shift_scalar(s: Scalar, off: ArgShift, hscale=Fraction(1)) -> Scalar:
     """Displace the coordinate by off; off.hpart is always an additive
     displacement, which the multiplicative coordinate absorbs as a factor
     exp(hscale * hpart) (hscale relates the coordinate to the additive one).
+
+    The h-part is expanded around w first, on s's own derivative chain, and
+    the constant translation applied after it (the two commute), so every
+    displacement of s with the same h-part shares one chain.
     """
     if s.mode == ADDITIVE:
         t = HSeries.constant(off.const, s.truncation) + off.hpart
         return s.shift(t)
     out = s
+    if not off.hpart.is_zero:
+        out = out.shift_mul(off.hpart.scale(hscale))
     c = _norm_const(off.const, s.mode)
     if c != 1:
         out = out.scale_arg(c)
-    if not off.hpart.is_zero:
-        out = out.shift_mul(off.hpart.scale(hscale))
     return out
 
 

@@ -168,17 +168,33 @@ class Scalar:
     def diff(self) -> "Scalar":
         return Scalar([g.diff() for g in self.grades], self.mode)
 
+    def deriv(self, j: int) -> "Scalar":
+        """The j-th derivative in w, from the chain self, self', ... that
+        each Scalar builds once, as far as it is asked for; Taylor shifts
+        and point evaluation share it."""
+        if not hasattr(self, "_chain"):
+            self._chain = [self]
+        chain = self._chain
+        while len(chain) <= j:
+            chain.append(chain[-1].diff())
+        return chain[j]
+
     # -- substitutions ------------------------------------------------
     def shift(self, t: HSeries) -> "Scalar":
-        """Additive translation of the coordinate: returns a(w + t)."""
+        """Additive translation of the coordinate: returns a(w + t).
+
+        The h-part is expanded around w on self's derivative chain, then
+        w -> w + t0 translates the sum; the two substitutions commute.
+        """
         if self.mode != ADDITIVE:
             raise ModeMismatch("shift() is for the additive coordinate")
         if t.truncation != self.truncation:
             raise TruncationMismatch("shift amount has wrong truncation")
-        base = Scalar(
-            [g.shift_arg(t.constant_part) for g in self.grades], self.mode
-        )
-        return _taylor(base, Scalar.from_hseries(t.positive_part(), self.mode))
+        out = _taylor(self, Scalar.from_hseries(t.positive_part(), self.mode))
+        c = t.constant_part
+        if c == 0:
+            return out
+        return Scalar([g.shift_arg(c) for g in out.grades], self.mode)
 
     def shift_mul(self, t: HSeries) -> "Scalar":
         """Multiplicative translation by exp(t): returns a(w * exp(t)).
@@ -218,17 +234,12 @@ class Scalar:
         D = self.truncation
         v0 = v.constant_part
         vp = v.positive_part()
-        # the derivatives self, self', ..., once per Scalar, each built only
-        # when the h-part's power survives to it
-        if not hasattr(self, "_chain"):
-            self._chain = [self]
-        chain = self._chain
+        # each derivative is built only when the h-part's power survives
+        # to it
         acc = HSeries.zero(D)
         power = HSeries.constant(1, D)
         for j in range(D + 1):
-            if j == len(chain):
-                chain.append(chain[-1].diff())
-            term = HSeries._of([g.eval(v0) for g in chain[j].grades]) * power
+            term = HSeries._of([g.eval(v0) for g in self.deriv(j).grades]) * power
             acc = acc + term.scale(Fraction(1, factorial(j)))
             power = power * vp
             if power.is_zero:
@@ -253,7 +264,8 @@ class Scalar:
 
 
 def _taylor(base: Scalar, delta: Scalar) -> Scalar:
-    """Sum base^(j)(w) * delta^j / j! while delta^j survives truncation.
+    """Sum base^(j)(w) * delta^j / j! while delta^j survives truncation,
+    on base's derivative chain.
 
     delta must have positive h-valuation, so the sum is finite.
     """
@@ -263,14 +275,12 @@ def _taylor(base: Scalar, delta: Scalar) -> Scalar:
     if v == 0:
         raise NonUnitError("Taylor increment must have positive h-valuation")
     acc = base
-    deriv = base
     power = Scalar.one(base.truncation, base.mode)
     for j in range(1, base.truncation // v + 1):
-        deriv = deriv.diff()
         power = power * delta
         if power.is_zero:
             break
-        acc = acc + (deriv * power).scale(Fraction(1, factorial(j)))
+        acc = acc + (base.deriv(j) * power).scale(Fraction(1, factorial(j)))
     return acc
 
 

@@ -13,11 +13,13 @@ from qkzkit.families import (
     check_qybe,
     check_unitarity,
     default_samples,
+    displaced,
     family_from_descriptor,
     unitarity_scalar,
 )
+from qkzkit.hseries import HSeries
 from qkzkit.ratfn import RatFn
-from qkzkit.scalar import Scalar
+from qkzkit.scalar import ADDITIVE, Scalar
 from qkzkit.suites import run_checks, suite_crossing
 from qkzkit.tensor import LegMatrix
 
@@ -144,3 +146,55 @@ class TestDegeneration:
     def test_rational_family_rejected(self, rat2):
         with pytest.raises(KernelError):
             check_degeneration(rat2)
+
+
+class TestSharedTaylorChain:
+    """Displacing one base matrix by several constants with the same h-part
+    expands the h-part on each base entry's own derivative chain, built
+    once, and translates by the constant after it."""
+
+    BUILDS = {
+        "rat2": lambda: build_rational(2, 4),
+        "rat3": lambda: build_rational(3, 4),
+        "trig": lambda: build_trigonometric(2, 4),
+    }
+
+    @staticmethod
+    def constant_first(s, off, hscale):
+        """The displacement in the other order: the constant translation,
+        then the h-part expanded on the translated copy's own chain."""
+        if s.mode == ADDITIVE:
+            return Scalar([g.shift_arg(off.const) for g in s.grades], s.mode).shift(
+                off.hpart
+            )
+        return s.scale_arg(off.const).shift_mul(off.hpart.scale(hscale))
+
+    @pytest.mark.parametrize("name", sorted(BUILDS))
+    def test_one_chain_per_base_entry(self, name, monkeypatch):
+        F = self.BUILDS[name]()  # a fresh base: no chain built yet
+        h = HSeries.h(F.D)
+        hpart = h.scale(Fraction(1, 3)) + (h * h).scale(-2)
+        if F.mode == ADDITIVE:
+            consts = [Fraction(1, 2), Fraction(-2), Fraction(3)]
+        else:
+            consts = [Fraction(2), Fraction(-1, 3), Fraction(5, 7)]
+        diffs = []
+        diff = Scalar.diff
+        monkeypatch.setattr(
+            Scalar, "diff", lambda s: diffs.append(s) or diff(s)
+        )
+        shifted = [displaced(F.base, ArgShift(consts[0], hpart), F.hshift_scale)]
+        built = len(diffs)
+        assert built > 0
+        shifted += [
+            displaced(F.base, ArgShift(c, hpart), F.hshift_scale)
+            for c in consts[1:]
+        ]
+        assert len(diffs) == built  # the later constants reuse the chains
+        monkeypatch.undo()
+        for c, m in zip(consts, shifted):
+            off = ArgShift(c, hpart)
+            assert m.entries == {
+                rc: self.constant_first(s, off, F.hshift_scale)
+                for rc, s in F.base.entries.items()
+            }
