@@ -239,7 +239,7 @@ class Scalar:
         acc = HSeries.zero(D)
         power = HSeries.constant(1, D)
         for j in range(D + 1):
-            term = HSeries._of([g.eval(v0) for g in self.deriv(j).grades]) * power
+            term = HSeries([g.eval(v0) for g in self.deriv(j).grades]) * power
             acc = acc + term.scale(Fraction(1, factorial(j)))
             power = power * vp
             if power.is_zero:

@@ -175,6 +175,11 @@ def decode_instance(d: dict, nf, D: int):
                     "multiplicative point or word factor needs a nonzero "
                     f"h^0 part, got {argshift_to_str(a)!r}"
                 )
+    consts = [a.const for a in points]
+    if len(set(consts)) != len(consts):
+        raise KernelError(
+            f"base points need pairwise distinct h^0 parts, got {d['points']}"
+        )
     k = str_to_hseries(d.get("K", "1"), D)
     return QKZInstance(nf, points, words, k)
 

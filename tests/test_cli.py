@@ -118,6 +118,26 @@ class TestExitCodes:
         assert run(["--config", cfg]) == EXIT_CONFIG
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("family, points, factor", [
+        ("rational", ["0", "0"], "0"),
+        ("rational", ["0", "1", "1,1/2,0"], "0"),
+        ("trigonometric", ["2", "2"], "1"),
+    ], ids=["rational", "rational-h-part", "trigonometric"])
+    def test_equal_base_points_are_config_error(
+        self, tmp_path, capsys, family, points, factor
+    ):
+        # a shared h^0 part used to put every check in error with a pole
+        # of R at the difference (w = 0, or w = 1 multiplicatively)
+        cfg = write_cfg(
+            tmp_path, "equal.json", family=family, suite="qkz",
+            instances=[{
+                "points": points,
+                "words": [{"factors": [factor]} for _ in points],
+            }],
+        )
+        assert run(["--config", cfg]) == EXIT_CONFIG
+        assert "distinct h^0 parts" in capsys.readouterr().err
+
 
 class TestReports:
     def test_report_schema(self, tmp_path):

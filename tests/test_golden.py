@@ -1,6 +1,7 @@
 """Golden reports: the CLI's full report, minus its timing fields, must stay
 byte-identical to the committed one for each fixed config: suite `all` at
-D=2, and suite `normalize` at D=4, whose pairing rows reach grades 3 and 4.
+D=2, suite `normalize` at D=4, whose pairing rows reach grades 3 and 4, and
+suite `qkz` at D=4, whose connection operators are evaluated over Q[[h]].
 
 A refactor that changes any verdict, check name, identity text, config echo
 or key order shows up here.  To regenerate after an intended change:
@@ -27,6 +28,21 @@ CONFIGS = {
     },
     "trigonometric-N2-D4-normalize": {
         "family": "trigonometric", "N": 2, "D": 4, "suite": "normalize",
+    },
+    "rational-N2-D4-qkz": {
+        "family": "rational", "N": 2, "D": 4, "suite": "qkz",
+        "instances": [{
+            "points": ["2", "3", "9/2", "13/2", "9"],
+            "words": [{"factors": ["0"]} for _ in range(5)],
+            "K": "1",
+        }],
+    },
+    "trigonometric-N2-D4-qkz": {
+        "family": "trigonometric", "N": 2, "D": 4, "suite": "qkz",
+        "instances": [{
+            "points": ["2", "3", "5"],
+            "words": [{"factors": ["1"]} for _ in range(3)],
+        }],
     },
 }
 
