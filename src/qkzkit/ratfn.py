@@ -313,16 +313,6 @@ class RatFn:
         spelled out so Elimination can ask RatFn and Scalar entries alike."""
         return self.p != 0
 
-    @property
-    def is_poly(self) -> bool:
-        return len(self.d) == 1
-
-    def as_fraction(self) -> Fraction:
-        """Return the value of a constant RatFn."""
-        if len(self.d) > 1 or len(self.n) > 1:
-            raise ValueError("not a constant")
-        return Fraction(self.p, self.q)
-
     # -- ring ops -----------------------------------------------------
     def __add__(self, other: "RatFn") -> "RatFn":
         if not self.p:
@@ -491,7 +481,10 @@ def frac_to_str(c: Fraction) -> str:
 
 
 def str_to_frac(s: str) -> Fraction:
-    return Fraction(s.strip())
+    try:
+        return Fraction(s.strip())
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {s.strip()!r}") from None
 
 
 def poly_to_str(a: Poly) -> str:

@@ -4,7 +4,9 @@ A LegMatrix is a square operator on a tensor product of finite-dimensional
 spaces.  Entries are Scalars (k(w)[[h]]) or, for an operator evaluated at
 a point, HSeries (Q[[h]]); they are stored sparsely as {(row, col): entry}
 with zeros omitted, and zero and one are taken from the entry ring.  A
-product of the two kinds is over k(w)[[h]].  Row/column indices enumerate
+product of the two kinds is over k(w)[[h]].  A product computes each
+distinct entry product and each distinct entry sum once; equal term
+sequences share one entry object.  Row/column indices enumerate
 multi-indices in row-major leg order.  Legs are 1-based.
 
 certified_grade decides the first failing grade of a product identity
@@ -45,10 +47,7 @@ class LegShape:
         self.total = strides[0] * dims[0]
 
     def unravel(self, flat: int):
-        out = []
-        for s, d in zip(self.strides, self.dims):
-            out.append((flat // s) % d)
-        return tuple(out)
+        return tuple((flat // s) % d for s, d in zip(self.strides, self.dims))
 
     def ravel(self, multi) -> int:
         return sum(i * s for i, s in zip(multi, self.strides))
@@ -92,6 +91,13 @@ class LegMatrix:
         return LegMatrix.identity(shape, D, mode) if out is None else out
 
     @staticmethod
+    def _nonzero(shape: LegShape, entries: dict, D: int, mode: str) -> "LegMatrix":
+        """A LegMatrix over entries already known to be nonzero."""
+        m = LegMatrix.__new__(LegMatrix)
+        m.shape, m.entries, m.D, m.mode = shape, entries, D, mode
+        return m
+
+    @staticmethod
     def zero(shape: LegShape, D: int, mode: str = ADDITIVE) -> "LegMatrix":
         return LegMatrix(shape, {}, D, mode)
 
@@ -110,8 +116,7 @@ class LegMatrix:
         entries = {}
         for col in range(shape.total):
             multi = shape.unravel(col)
-            row = out_shape.ravel(tuple(multi[p] for p in perm))
-            entries[(row, col)] = one
+            entries[(out_shape.ravel([multi[p] for p in perm]), col)] = one
         return LegMatrix(out_shape, entries, D, mode)
 
     # -- helpers ------------------------------------------------------
@@ -157,20 +162,31 @@ class LegMatrix:
         return self + (-other)
 
     def __mul__(self, other: "LegMatrix") -> "LegMatrix":
+        """Entry products are keyed by the object pair of their factors and
+        entry sums by the object sequence of their terms, each computed once."""
         self._check(other)
         rows_b: dict = {}
         for (k, c), v in other.entries.items():
             rows_b.setdefault(k, []).append((c, v))
-        out: dict = {}
+        terms: dict = {}  # (r, c) -> [a1, b1, a2, b2, ...]
         for (r, k), a in self.entries.items():
-            row = rows_b.get(k)
-            if row is None:
-                continue
-            for c, b in row:
-                cur = out.get((r, c))
-                prod = a * b
-                out[(r, c)] = prod if cur is None else cur + prod
-        return LegMatrix(self.shape, out, self.D, self.mode)
+            for c, b in rows_b.get(k, ()):
+                terms.setdefault((r, c), []).extend((a, b))
+        prods, sums, out = {}, {}, {}
+        for key, ts in terms.items():
+            ids = tuple(map(id, ts))
+            s = sums.get(ids, sums)
+            if s is sums:
+                s = None
+                for i in range(0, len(ts), 2):
+                    p = prods.get(ids[i : i + 2])
+                    if p is None:
+                        p = prods[ids[i : i + 2]] = ts[i] * ts[i + 1]
+                    s = p if s is None else s + p
+                s = sums[ids] = None if s.is_zero else s
+            if s is not None:
+                out[key] = s
+        return LegMatrix._nonzero(self.shape, out, self.D, self.mode)
 
     def mul_scalar(self, s: Scalar) -> "LegMatrix":
         return LegMatrix(
@@ -205,40 +221,31 @@ class LegMatrix:
                     f"dim of leg {l} is {target.dims[l - 1]}, "
                     f"operator leg has {self.shape.dims[mine]}"
                 )
-        active = set(l - 1 for l in legs)
-        rest = [i for i in range(len(target.dims)) if i not in active]
-        rest_shape = LegShape([target.dims[i] for i in rest]) if rest else None
-        rest_count = rest_shape.total if rest_shape else 1
-
-        def compose(sub_multi, rest_multi):
-            full = [0] * len(target.dims)
-            for mine, l in enumerate(legs):
-                full[l - 1] = sub_multi[mine]
-            for pos, i in enumerate(rest):
-                full[i] = rest_multi[pos]
-            return target.ravel(full)
-
+        offsets = [0]  # the flat offset of each setting of the other legs
+        for i, (s, d) in enumerate(zip(target.strides, target.dims)):
+            if i + 1 not in legs:
+                offsets = [o + k * s for o in offsets for k in range(d)]
+        place = [
+            sum(m * target.strides[l - 1] for m, l in zip(self.shape.unravel(i), legs))
+            for i in range(self.shape.total)
+        ]
         out: dict = {}
         for (r, c), v in self.entries.items():
-            rm = self.shape.unravel(r)
-            cm = self.shape.unravel(c)
-            for flat in range(rest_count):
-                restm = rest_shape.unravel(flat) if rest_shape else ()
-                out[(compose(rm, restm), compose(cm, restm))] = v
-        return LegMatrix(target, out, self.D, self.mode)
+            pr, pc = place[r], place[c]
+            for o in offsets:
+                out[(pr + o, pc + o)] = v
+        return LegMatrix._nonzero(target, out, self.D, self.mode)
 
     def partial_transpose(self, leg: int) -> "LegMatrix":
         """Transpose in the named 1-based leg only."""
         if not 1 <= leg <= len(self.shape.dims):
             raise ShapeMismatch(f"no leg {leg}")
-        i = leg - 1
+        s, d = self.shape.strides[leg - 1], self.shape.dims[leg - 1]
         out = {}
         for (r, c), v in self.entries.items():
-            rm = list(self.shape.unravel(r))
-            cm = list(self.shape.unravel(c))
-            rm[i], cm[i] = cm[i], rm[i]
-            out[(self.shape.ravel(rm), self.shape.ravel(cm))] = v
-        return LegMatrix(self.shape, out, self.D, self.mode)
+            t = ((c // s) % d - (r // s) % d) * s  # swap the two leg digits
+            out[(r + t, c - t)] = v
+        return LegMatrix._nonzero(self.shape, out, self.D, self.mode)
 
     # -- inversion ----------------------------------------------------
     def inv(self) -> "LegMatrix":

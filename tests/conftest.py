@@ -19,6 +19,11 @@ def rat3():
 
 
 @pytest.fixture(scope="session")
+def rat4():
+    return build_rational(4, D)
+
+
+@pytest.fixture(scope="session")
 def trig():
     return build_trigonometric(2, D)
 
@@ -31,6 +36,11 @@ def nf_rat2(rat2):
 @pytest.fixture(scope="session")
 def nf_rat3(rat3):
     return normalize(rat3)
+
+
+@pytest.fixture(scope="session")
+def nf_rat4(rat4):
+    return normalize(rat4)
 
 
 @pytest.fixture(scope="session")

@@ -138,6 +138,26 @@ class TestExitCodes:
         assert run(["--config", cfg]) == EXIT_CONFIG
         assert "distinct h^0 parts" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("points, factor, k", [
+        (["0", "1/0"], "0", "1"),
+        (["0", "1"], "0", "3/0"),
+        (["0", "1"], "2/0", "1"),
+    ], ids=["point", "K", "word-factor"])
+    def test_zero_denominator_is_config_error(
+        self, tmp_path, capsys, points, factor, k
+    ):
+        # used to exit 1 with an uncaught ZeroDivisionError traceback
+        cfg = write_cfg(
+            tmp_path, "zero-den.json", suite="qkz",
+            instances=[{
+                "points": points,
+                "words": [{"factors": [factor]} for _ in points],
+                "K": k,
+            }],
+        )
+        assert run(["--config", cfg]) == EXIT_CONFIG
+        assert "zero denominator" in capsys.readouterr().err
+
 
 class TestReports:
     def test_report_schema(self, tmp_path):

@@ -1,6 +1,7 @@
 """Golden normalization data: the determinant eigenvalue, its coefficient
-vector, rho and f0 for rational N=3 and trigonometric N=2 at D=4 must stay
-identical to the committed files, written in the cache's exact text format.
+vector, rho and f0 for rational N=3, rational N=4 and trigonometric N=2 at
+D=4 must stay identical to the committed files, written in the cache's
+exact text format.
 
 A change to the elimination or to the grade lift that alters any of these
 shows up here.  To regenerate after an intended change:
@@ -21,6 +22,7 @@ GOLDEN = Path(__file__).parent / "golden"
 #: golden file stem -> conftest fixture of the normalized family
 CASES = {
     "normalize-rational-N3-D4": "nf_rat3",
+    "normalize-rational-N4-D4": "nf_rat4",
     "normalize-trigonometric-N2-D4": "nf_trig",
 }
 
@@ -54,6 +56,7 @@ if __name__ == "__main__":
 
     families = {
         "normalize-rational-N3-D4": lambda: build_rational(3, 4),
+        "normalize-rational-N4-D4": lambda: build_rational(4, 4),
         "normalize-trigonometric-N2-D4": lambda: build_trigonometric(2, 4),
     }
     GOLDEN.mkdir(exist_ok=True)

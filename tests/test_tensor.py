@@ -5,9 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qkzkit.errors import ShapeMismatch, SingularMatrix
-from qkzkit.families import build_rational
+from qkzkit.families import ArgShift, build_rational, ladder_factors
 from qkzkit.hseries import HSeries
 from qkzkit.ratfn import RF_ONE, RF_ZERO, RatFn
+from qkzkit.qdet import ladder_shifts
 from qkzkit.scalar import ADDITIVE, MULTIPLICATIVE, Scalar
 from qkzkit.tensor import (
     Elimination,
@@ -76,6 +77,35 @@ class TestEmbed:
     def test_leg_count_mismatch(self):
         with pytest.raises(ShapeMismatch):
             sigma().embed(LegShape([2, 2, 2]), (1,))
+
+    @pytest.mark.parametrize("legs, dims", [
+        ((1, 2), [2, 3, 2]), ((3, 1), [3, 2, 2]), ((2, 4), [2, 2, 3, 3]),
+    ])
+    def test_matches_multi_index_placement(self, legs, dims):
+        # entry (r, c) of the small operator lands at every setting of the
+        # other legs, read off the multi-indices of the target
+        small_shape = LegShape([2, 3])
+        small = LegMatrix(
+            small_shape,
+            {(r, c): sc(1 + r + 7 * c) for r in range(6) for c in range(6) if (r + c) % 3},
+            D,
+        )
+        big = LegShape(dims)
+        want = {}
+        for r in range(big.total):
+            for c in range(big.total):
+                rm, cm = big.unravel(r), big.unravel(c)
+                rest = [i for i in range(len(big.dims)) if i + 1 not in legs]
+                if any(rm[i] != cm[i] for i in rest):
+                    continue
+                v = small.entries.get((
+                    small_shape.ravel([rm[l - 1] for l in legs]),
+                    small_shape.ravel([cm[l - 1] for l in legs]),
+                ))
+                if v is not None:
+                    want[(r, c)] = v
+        got = small.embed(big, legs)
+        assert got.shape == big and got.entries == want
 
 
 class TestPartialTranspose:
@@ -334,3 +364,119 @@ class TestEvaluatedEntries:
         w = LegMatrix.identity(shape, 2).mul_scalar(Scalar.coordinate(2))
         assert all(isinstance(v, Scalar) for v in (m * w).entries.values())
         assert m * w == w * m
+
+
+# -- products: each distinct entry product and entry sum once -------------
+
+def naive_product(a, b):
+    """The dense triple loop: entry (i, j) is the sum over k of
+    a[i, k] b[k, j], zeros omitted."""
+    n = a.shape.total
+    out = {}
+    for i in range(n):
+        for j in range(n):
+            acc = None
+            for k in range(n):
+                x, y = a.entries.get((i, k)), b.entries.get((k, j))
+                if x is not None and y is not None:
+                    acc = x * y if acc is None else acc + x * y
+            if acc is not None and not acc.is_zero:
+                out[(i, j)] = acc
+    return out
+
+
+@st.composite
+def shared_pair(draw, ring):
+    """Two LegMatrices on one shape whose entries come from a small pool of
+    objects, each pool value beside its negation, so the same object sits
+    at many keys and entry sums often cancel."""
+    d = 2
+    dims = draw(st.sampled_from([[2], [3], [2, 2]]))
+    shape = LegShape(dims)
+    coeffs = st.lists(st.integers(-1, 1), min_size=d + 1, max_size=d + 1)
+    pool = []
+    for cs in draw(st.lists(coeffs, min_size=1, max_size=3)):
+        x = HSeries(cs)
+        if ring == "scalar":
+            x = Scalar.from_hseries(x) * Scalar.coordinate(d).scale(
+                draw(st.integers(1, 2))
+            )
+        pool += [x, -x]
+    keys = st.tuples(st.integers(0, shape.total - 1), st.integers(0, shape.total - 1))
+    mats = [
+        LegMatrix(
+            shape,
+            draw(st.dictionaries(keys, st.sampled_from(pool), max_size=12)),
+            d,
+        )
+        for _ in range(2)
+    ]
+    return mats
+
+
+class TestSharedProduct:
+    @pytest.mark.parametrize("ring", ["hseries", "scalar"])
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_naive_product(self, ring, data):
+        a, b = data.draw(shared_pair(ring))
+        prod = a * b
+        assert prod.entries == naive_product(a, b)
+        assert all(not v.is_zero for v in prod.entries.values())
+
+    def test_cancelling_sum_is_absent(self):
+        shape = LegShape([2])
+        x = HSeries([1, 2, 0])
+        a = LegMatrix(shape, {(0, 0): x, (0, 1): x, (1, 0): x}, 2)
+        b = LegMatrix(shape, {(0, 0): x, (1, 0): -x, (1, 1): x}, 2)
+        prod = a * b
+        assert (0, 0) not in prod.entries
+        assert prod.entries == naive_product(a, b)
+        # (0, 1) and (1, 0) have the same terms: one shared object
+        assert prod.entries[(0, 1)] is prod.entries[(1, 0)]
+
+    @pytest.mark.parametrize("ring", [Scalar, HSeries])
+    def test_each_object_pair_multiplied_once(self, ring, monkeypatch):
+        if ring is Scalar:
+            F = build_rational(2, 2)
+            m = F.r(ArgShift.of(Fraction(1), 2)).embed(LegShape([2] * 3), (1, 2))
+            other = F.base.embed(LegShape([2] * 3), (2, 1))
+        else:
+            x, y = HSeries([1, 1, 0]), HSeries([2, 0, 1])
+            shape = LegShape([2, 2])
+            m = LegMatrix(shape, {(i, j): x for i in range(4) for j in range(4)}, 2)
+            other = LegMatrix(shape, {(i, i): y for i in range(4)}, 2)
+        pairs = []
+        orig = ring.__mul__
+
+        def recording(self, o):
+            pairs.append((id(self), id(o)))
+            return orig(self, o)
+
+        monkeypatch.setattr(ring, "__mul__", recording)
+        prod = m * other
+        monkeypatch.setattr(ring, "__mul__", orig)
+        assert pairs and len(pairs) == len(set(pairs))
+        assert prod.entries == naive_product(m, other)
+
+    def test_rational_n4_ladder_is_cheap(self, monkeypatch):
+        # the ladder of find_qdet_vector for rational N = 4, D = 4: 9604
+        # nonzeros; a product per entry pair made 18228 Scalar products
+        F = build_rational(4, 4)
+        factors = ladder_factors(F, [ArgShift.of_h(s) for s in ladder_shifts(4, 4)])
+        calls = []
+        orig = Scalar.__mul__
+
+        def counting(self, o):
+            calls.append((id(self), id(o)))
+            return orig(self, o)
+
+        monkeypatch.setattr(Scalar, "__mul__", counting)
+        out = factors[0]
+        for f in factors[1:]:
+            start = len(calls)
+            out = out * f
+            assert len(set(calls[start:])) == len(calls) - start
+        monkeypatch.setattr(Scalar, "__mul__", orig)
+        assert len(out.entries) == 9604
+        assert len(calls) < 1000
