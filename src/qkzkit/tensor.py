@@ -175,17 +175,16 @@ class LegMatrix:
         prods, sums, out = {}, {}, {}
         for key, ts in terms.items():
             ids = tuple(map(id, ts))
-            s = sums.get(ids, sums)
-            if s is sums:
+            if ids not in sums:
                 s = None
                 for i in range(0, len(ts), 2):
                     p = prods.get(ids[i : i + 2])
                     if p is None:
                         p = prods[ids[i : i + 2]] = ts[i] * ts[i + 1]
                     s = p if s is None else s + p
-                s = sums[ids] = None if s.is_zero else s
-            if s is not None:
-                out[key] = s
+                sums[ids] = None if s.is_zero else s
+            if sums[ids] is not None:
+                out[key] = sums[ids]
         return LegMatrix._nonzero(self.shape, out, self.D, self.mode)
 
     def mul_scalar(self, s: Scalar) -> "LegMatrix":
