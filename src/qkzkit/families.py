@@ -8,13 +8,13 @@ by deterministic rationals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .errors import KernelError, PoleError, ShapeMismatch
+from .errors import KernelError, PoleError
 from .hseries import HSeries, series_inv, series_mul
-from .ratfn import P_ONE, P_ZERO, RF_ONE, RF_ZERO, RatFn, pmul, ptrim
+from .ratfn import RF_ONE, RF_ZERO, RatFn, pmul, ptrim
 from .scalar import ADDITIVE, MULTIPLICATIVE, Point, Scalar
 from .tensor import LegMatrix, LegShape, least_grade
 
@@ -49,44 +49,32 @@ class ArgShift:
     hpart: HSeries
 
     @staticmethod
-    def none(D: int) -> "ArgShift":
-        return ArgShift(Fraction(0), HSeries.zero(D))
+    def none(D: int, mode: str) -> "ArgShift":
+        """The neutral element of the mode's group: const 0 (additive) or
+        1 (multiplicative), no h-part."""
+        return ArgShift.of(0 if mode == ADDITIVE else 1, D)
 
     @staticmethod
     def of(c, D: int) -> "ArgShift":
         return ArgShift(Fraction(c), HSeries.zero(D))
 
     @staticmethod
-    def of_h(t: HSeries) -> "ArgShift":
+    def of_h(t: HSeries, mode: str) -> "ArgShift":
         if t.constant_part != 0:
             raise ValueError("use const for the h^0 part")
-        return ArgShift(Fraction(0), t)
-
-
-def _norm_const(c: Fraction, mode: str) -> Fraction:
-    """The group element a stored const stands for: in the multiplicative
-    coordinate a stored 0 (the additive-neutral default) means 1."""
-    if mode != ADDITIVE and c == 0:
-        return Fraction(1)
-    return c
+        return ArgShift(ArgShift.none(t.truncation, mode).const, t)
 
 
 def shift_add(a: ArgShift, b: ArgShift, mode: str) -> ArgShift:
     if mode == ADDITIVE:
         return ArgShift(a.const + b.const, a.hpart + b.hpart)
-    return ArgShift(
-        _norm_const(a.const, mode) * _norm_const(b.const, mode),
-        a.hpart + b.hpart,
-    )
+    return ArgShift(a.const * b.const, a.hpart + b.hpart)
 
 
 def shift_sub(a: ArgShift, b: ArgShift, mode: str) -> ArgShift:
     if mode == ADDITIVE:
         return ArgShift(a.const - b.const, a.hpart - b.hpart)
-    return ArgShift(
-        _norm_const(a.const, mode) / _norm_const(b.const, mode),
-        a.hpart - b.hpart,
-    )
+    return ArgShift(a.const / b.const, a.hpart - b.hpart)
 
 
 def shift_scalar(s: Scalar, off: ArgShift, hscale=Fraction(1)) -> Scalar:
@@ -104,18 +92,14 @@ def shift_scalar(s: Scalar, off: ArgShift, hscale=Fraction(1)) -> Scalar:
     out = s
     if not off.hpart.is_zero:
         out = out.shift_mul(off.hpart.scale(hscale))
-    c = _norm_const(off.const, s.mode)
-    if c != 1:
-        out = out.scale_arg(c)
+    if off.const != 1:
+        out = out.scale_arg(off.const)
     return out
 
 
 def displaced(m: LegMatrix, off: ArgShift | None, hscale) -> LegMatrix:
     """m with its symbolic argument displaced by off (None: no displacement)."""
-    neutral = 0 if m.mode == ADDITIVE else 1
-    if off is None or (
-        off.hpart.is_zero and _norm_const(off.const, m.mode) == neutral
-    ):
+    if off is None or off == ArgShift.none(m.D, m.mode):
         return m
     return m.map_entries(lambda s: shift_scalar(s, off, hscale))
 
@@ -126,7 +110,7 @@ def valued(m: LegMatrix, off: ArgShift, hscale) -> LegMatrix:
     if m.mode == ADDITIVE:
         val = HSeries.constant(off.const, m.D) + off.hpart
     else:
-        val = off.hpart.scale(hscale).exp().scale(_norm_const(off.const, m.mode))
+        val = off.hpart.scale(hscale).exp().scale(off.const)
     p = Point(val, m.mode)
     return m.map_entries(lambda s: s.eval(p))
 
@@ -181,10 +165,6 @@ class RMatrixFamily:
 
     def sigma(self) -> LegMatrix:
         return LegMatrix.from_leg_permutation(self.shape, (1, 0), self.D, self.mode)
-
-    def classical_r(self) -> LegMatrix:
-        """The matrix r with R = 1 - h r + O(h^2)."""
-        return -self.base.grade_matrix(1)
 
     def descriptor(self) -> dict:
         return {"family": self.family, "N": self.N, "D": self.D}
@@ -280,20 +260,6 @@ def ladder(F, offs) -> LegMatrix:
 
 # -- sample handling ---------------------------------------------------
 
-def _delta(F: RMatrixFamily, a: Fraction, b: Fraction) -> ArgShift:
-    """Argument displacement representing the difference of sample points."""
-    if F.mode == ADDITIVE:
-        return ArgShift.of(a - b, F.D)
-    return ArgShift.of(a / b, F.D)
-
-
-def _sym_minus(F: RMatrixFamily, b: Fraction) -> ArgShift:
-    """Displacement for (symbolic u1) - b."""
-    if F.mode == ADDITIVE:
-        return ArgShift.of(-b, F.D)
-    return ArgShift.of(Fraction(1) / b, F.D)
-
-
 def default_samples(F: RMatrixFamily, count: int = 5):
     """Deterministic pole-free sample pairs (u2, u3); screened-out pairs
     are replaced from the pool, never silently dropped."""
@@ -309,7 +275,7 @@ def default_samples(F: RMatrixFamily, count: int = 5):
         if F.mode == MULTIPLICATIVE and (a == 0 or b == 0):
             continue
         try:
-            F.r_value(_delta(F, a, b))
+            F.r_value(shift_sub(ArgShift.of(a, F.D), ArgShift.of(b, F.D), F.mode))
         except PoleError:
             continue
         if (a, b) not in out:
@@ -321,18 +287,28 @@ def default_samples(F: RMatrixFamily, count: int = 5):
 
 # -- identity checks ---------------------------------------------------
 
+def _three_leg_factors(F: RMatrixFamily, u2: Fraction, u3: Fraction):
+    """R^{12}(u1 - u2) and R^{13}(u1 - u3), u1 symbolic, and R^{23}(u2 - u3)
+    on legs [N]^3."""
+    big = LegShape([F.N] * 3)
+    sym = ArgShift.none(F.D, F.mode)
+    a2, a3 = ArgShift.of(u2, F.D), ArgShift.of(u3, F.D)
+    return (
+        F.r(shift_sub(sym, a2, F.mode)).embed(big, (1, 2)),
+        F.r(shift_sub(sym, a3, F.mode)).embed(big, (1, 3)),
+        F.r_value(shift_sub(a2, a3, F.mode)).embed(big, (2, 3)),
+    )
+
+
 def check_qybe(F: RMatrixFamily, samples=None):
     """Three-leg consistency R12 R13 R23 = R23 R13 R12 at each sample pair
     (u2, u3), u1 symbolic; returns the least first nonzero grade of the
     residuals, or None when each is exact zero to order D."""
     if samples is None:
         samples = default_samples(F)
-    big = LegShape([F.N] * 3)
     grades = []
     for (u2, u3) in samples:
-        r12 = F.r(_sym_minus(F, u2)).embed(big, (1, 2))
-        r13 = F.r(_sym_minus(F, u3)).embed(big, (1, 3))
-        r23 = F.r_value(_delta(F, u2, u3)).embed(big, (2, 3))
+        r12, r13, r23 = _three_leg_factors(F, u2, u3)
         diff = r12 * r13 * r23 - r23 * r13 * r12
         grades.append(diff.first_nonzero_grade())
     return least_grade(grades)
@@ -347,7 +323,7 @@ def check_crossing(F: RMatrixFamily):
     r_inv = F.base.inv()
     x = r_inv.partial_transpose(1).inv().partial_transpose(1)
     y = r_inv.partial_transpose(2).inv().partial_transpose(2)
-    shifted = F.r(ArgShift.of_h(F.crossing_hshift))
+    shifted = F.r(ArgShift.of_h(F.crossing_hshift, F.mode))
     # R's h^0 grade is invertible (R.inv() succeeded), so a unit entry exists
     key = min(k for k, v in shifted.entries.items() if v.is_unit)
     g = x.get(*key) * shifted.entries[key].inv()
@@ -399,12 +375,11 @@ def check_classical_ybe(F: RMatrixFamily, samples=None):
     first nonzero grade of the sums, or None."""
     if samples is None:
         samples = default_samples(F, 3)
-    big = LegShape([F.N] * 3)
     grades = []
     for (u2, u3) in samples:
-        r12 = (-F.r(_sym_minus(F, u2)).grade_matrix(1)).embed(big, (1, 2))
-        r13 = (-F.r(_sym_minus(F, u3)).grade_matrix(1)).embed(big, (1, 3))
-        r23 = (-F.r_value(_delta(F, u2, u3)).grade_matrix(1)).embed(big, (2, 3))
+        r12, r13, r23 = (
+            -m.grade_matrix(1) for m in _three_leg_factors(F, u2, u3)
+        )
         acc = (
             (r12 * r13 - r13 * r12)
             + (r12 * r23 - r23 * r12)
@@ -463,7 +438,7 @@ def degeneration_limit(F: RMatrixFamily) -> LegMatrix:
             if g.is_zero:
                 continue
             num = _poly_at_series(g.num, e, L)
-            den = _poly_at_series(g.den if g.den else P_ONE, e, L)
+            den = _poly_at_series(g.den, e, L)
             val, q = _laurent_quotient(num, den, L)
             # total s-exponent of q[j] h^m is m + val + j
             for j, c in enumerate(q):

@@ -55,14 +55,6 @@ class QDetData:
     coeffs: dict
     eigenvalue: Scalar
 
-    def vector(self) -> list[Scalar]:
-        """The eigenvector as a flat coordinate list on [N]*N."""
-        shape = LegShape([self.N] * self.N)
-        out = [Scalar.zero(self.D, self.mode) for _ in range(shape.total)]
-        for idx, c in self.coeffs.items():
-            out[shape.ravel(idx)] = c
-        return out
-
 
 def _perm_sign(p) -> int:
     sign = 1
@@ -91,7 +83,7 @@ def aux_blocks(m: LegMatrix) -> dict:
         a, rs = divmod(r, sub.total)
         b, cs = divmod(c, sub.total)
         parts[(a, b)][(rs, cs)] = v
-    return {k: LegMatrix(sub, e, m.D, m.mode) for k, e in parts.items()}
+    return {k: LegMatrix._nonzero(sub, e, m.D, m.mode) for k, e in parts.items()}
 
 
 def find_qdet_vector(F: RMatrixFamily) -> QDetData:
@@ -103,7 +95,7 @@ def find_qdet_vector(F: RMatrixFamily) -> QDetData:
     """
     N, D = F.N, F.D
     shifts = ladder_shifts(N, D)
-    m = ladder(F, [ArgShift.of_h(s) for s in shifts])
+    m = ladder(F, [ArgShift.of_h(s, F.mode) for s in shifts])
 
     vshape = LegShape([N] * N)
     T = vshape.total
@@ -222,12 +214,11 @@ def qdet_apply(qd: QDetData, x_at) -> LegMatrix:
     return contract(qd.coeffs, [x_at(s) for s in qd.shifts])
 
 
-def compute_rho(F: RMatrixFamily, qd: QDetData, r_at=None) -> Scalar:
+def compute_rho(F, qd: QDetData) -> Scalar:
     """The scalar by which the determinant element acts in the vector
-    representation (x -> R with auxiliary first leg)."""
-    if r_at is None:
-        r_at = lambda s: F.r(ArgShift.of_h(s))
-    return extract_scalar(qdet_apply(qd, r_at))
+    representation (x -> R with auxiliary first leg), for a raw or a
+    normalized family F."""
+    return extract_scalar(qdet_apply(qd, lambda s: F.r(ArgShift.of_h(s, F.mode))))
 
 
 def solve_f0(F: RMatrixFamily, target: Scalar) -> Scalar:
@@ -246,7 +237,7 @@ def solve_f0(F: RMatrixFamily, target: Scalar) -> Scalar:
         f = Scalar(g, F.mode)
         prod = Scalar.one(D, F.mode)
         for s in shifts:
-            prod = prod * shift_scalar(f, ArgShift.of_h(s), F.hshift_scale)
+            prod = prod * shift_scalar(f, ArgShift.of_h(s, F.mode), F.hshift_scale)
         return prod
 
     for m in range(1, D + 1):
@@ -301,9 +292,7 @@ class NormalizedFamily:
     # -- the identities the rescaling is supposed to buy ----------------
     def normalized_rho(self) -> Scalar:
         """rho of the rescaled matrix; 1 when the normalization worked."""
-        return compute_rho(
-            self.family, self.qdet, lambda s: self.r(ArgShift.of_h(s))
-        )
+        return compute_rho(self, self.qdet)
 
     def unitarity_scalar(self) -> Scalar:
         return unitarity_scalar(self)
@@ -311,7 +300,7 @@ class NormalizedFamily:
     def qdet_defect(self):
         """First nonzero grade of the determinant element's image minus Id,
         or None when it acts as 1."""
-        image = qdet_apply(self.qdet, lambda s: self.r(ArgShift.of_h(s)))
+        image = qdet_apply(self.qdet, lambda s: self.r(ArgShift.of_h(s, self.mode)))
         return (image - self.identity(1)).first_nonzero_grade()
 
     def unitarity_defect(self):
@@ -322,7 +311,7 @@ class NormalizedFamily:
         """First nonzero grade of theta^2(Rbar) - Rbar(arg shifted by N h),
         or None when the crossing identity holds on the nose."""
         theta2 = self.rbar.theta().theta()
-        shifted = self.r(ArgShift.of_h(self.family.crossing_hshift))
+        shifted = self.r(ArgShift.of_h(self.family.crossing_hshift, self.mode))
         return (theta2 - shifted).first_nonzero_grade()
 
 
@@ -337,10 +326,9 @@ def normalize(F: RMatrixFamily) -> NormalizedFamily:
     return nf
 
 
-def pairing_contraction(nf: NormalizedFamily, points, y=Fraction(0), raw=False):
+def pairing_contraction(nf: NormalizedFamily, points, raw=False):
     """The determinant contraction through an n-fold ladder of R-factors at
-    the given evaluation points (shifted by y), minus Id, as (factors,
-    residual).
+    the given evaluation points, minus Id, as (factors, residual).
 
     factors are the N ladders' displaced Rbar-factors (R-factors when raw)
     in order, then the determinant coefficients; residual(factors) is the
@@ -353,8 +341,8 @@ def pairing_contraction(nf: NormalizedFamily, points, y=Fraction(0), raw=False):
     src = nf.family if raw else nf
     factors = []
     for s in nf.qdet.shifts:
-        # the arguments w + s + y - a
-        here = ArgShift(Fraction(y), s)
+        # the arguments w + s - a
+        here = ArgShift.of_h(s, mode)
         factors += ladder_factors(
             src, [shift_sub(here, ArgShift.of(a, D), mode) for a in points]
         )
@@ -373,16 +361,16 @@ def pairing_contraction(nf: NormalizedFamily, points, y=Fraction(0), raw=False):
     return factors, residual
 
 
-def check_pairing_qdet(nf: NormalizedFamily, points, y=Fraction(0), raw=False):
+def check_pairing_qdet(nf: NormalizedFamily, points, raw=False):
     """Defect of the determinant element acting through an n-fold ladder of
-    R-factors at the given evaluation points (shifted by y).
+    R-factors at the given evaluation points.
 
     Returns the first nonzero grade of (result - Id), or None when the
     action is exactly the identity, decided by certified evaluation of
     pairing_contraction.  With raw=True the un-rescaled family is used
     instead, which is the control that the normalization matters.
     """
-    factors, residual = pairing_contraction(nf, points, y, raw)
+    factors, residual = pairing_contraction(nf, points, raw)
     return certified_grade(factors, residual, nf.D, nf.mode)
 
 

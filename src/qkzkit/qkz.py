@@ -9,14 +9,12 @@ evaluated at differences of base points, acting on the full fiber.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import KernelError, ShapeMismatch
 from .families import ArgShift
 from .hseries import HSeries
 from .qdet import NormalizedFamily
-from .reps import ComoduleWord, build_braiding, build_rvw, shift_add, shift_sub
-from .scalar import ADDITIVE
+from .reps import build_braiding, build_rvw, shift_add, shift_sub
 from .tensor import LegMatrix, LegShape, least_grade
 
 #: injectable faults: controls that must make a check fail
@@ -98,7 +96,7 @@ def build_nabla(inst: QKZInstance, i: int, z=None) -> LegMatrix:
     if z is None:
         z = inst.z
     big = inst.fiber_shape()
-    kh = ArgShift.of_h(inst.kappa_h)
+    kh = ArgShift.of_h(inst.kappa_h, nf.mode)
 
     def factor(j, shifted):
         off = shift_sub(z[j - 1], z[i - 1], nf.mode)

@@ -11,11 +11,12 @@ gcd(N1, Dn2) and gcd(N2, Dn1); a sum over a shared denominator needs a
 polynomial gcd only when its numerator has positive degree.
 
 Polynomials are tuples of coefficients, ascending in the curve coordinate
-w, with no trailing zeros.  The p* helpers take int or Fraction
-coefficients, except those that divide (pdivmod, pmonic, plcm), which take
-Fractions: int / int is a float.  The views RatFn.num and RatFn.den give
-the canonical form over Q with a monic denominator as Fraction tuples; the
-"p/q*w^k" text form is written from them.
+w, with no trailing zeros.  There is one polynomial form: the kernel
+computes on int coefficients only, and the helpers that divide (pgcd, plcm)
+take only int polynomials.  The constructor splits Fraction coefficients
+into a content and a primitive part; beyond that, Fractions appear only in
+the views RatFn.num and RatFn.den (the canonical form over Q with a monic
+denominator) and in the "p/q*w^k" text form written from them.
 """
 
 from __future__ import annotations
@@ -25,11 +26,10 @@ from math import gcd, lcm
 
 from .errors import PoleError
 
-Poly = tuple  # tuple[int | Fraction, ...], ascending, trimmed
+Poly = tuple  # tuple[int, ...], ascending, trimmed
 
 P_ZERO: Poly = ()
-P_ONE: Poly = (Fraction(1),)
-_ONE: Poly = (1,)  # the primitive constant
+P_ONE: Poly = (1,)  # the primitive constant
 
 
 def ptrim(c) -> Poly:
@@ -79,55 +79,29 @@ def pscale(a: Poly, c) -> Poly:
     return tuple(x * c for x in a)
 
 
-def pdivmod(a: Poly, b: Poly):
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    r = list(a)
-    db, lb = len(b) - 1, b[-1]
-    while len(r) - 1 >= db and r:
-        k = len(r) - 1 - db
-        c = r[-1] / lb
-        q[k] = c
-        for i, cb in enumerate(b):
-            r[k + i] -= c * cb
-        while r and r[-1] == 0:
-            r.pop()
-    return ptrim(q), ptrim(r)
-
-
-def pmonic(a: Poly) -> Poly:
-    if not a or a[-1] == 1:
-        return a
-    lead = a[-1]
-    return tuple(c / lead for c in a)
-
-
 def pgcd(a: Poly, b: Poly) -> Poly:
-    """gcd over Q[w]: of two int polynomials the primitive one with a
-    positive leading coefficient (the RatFn kernel's form), else the monic
-    one."""
+    """gcd over Q[w] of two int polynomials: the primitive one with a
+    positive leading coefficient."""
     if len(a) == 1 or len(b) == 1:
         return P_ONE  # a nonzero constant divides everything
-    if all(type(c) is int for c in a + b):
-        return _prs_gcd(a, b)
-    g = _prs_gcd(_split(a)[2] if a else a, _split(b)[2] if b else b)
-    return pmonic(tuple(Fraction(c) for c in g))
+    return _prs_gcd(a, b)
 
 
 def plcm(a: Poly, b: Poly) -> Poly:
-    """Least common multiple of two monic polynomials."""
+    """lcm over Q[w] of two primitive int polynomials with positive leading
+    coefficients, in the same form."""
     if a == b:
         return a
-    return pmul(a, pdivmod(b, pgcd(a, b))[0])
+    return pmul(a, _zdiv(b, pgcd(a, b)))
 
 
 def pdiff(a: Poly) -> Poly:
     return ptrim(tuple(a[i] * i for i in range(1, len(a))))
 
 
-def peval(a: Poly, x: Fraction) -> Fraction:
-    acc = Fraction(0)
+def peval(a: Poly, x: int) -> int:
+    """a(x) for an int polynomial and an int x."""
+    acc = 0
     for c in reversed(a):
         acc = acc * x + c
     return acc
@@ -192,7 +166,7 @@ def _prs_gcd(a: Poly, b: Poly) -> Poly:
     while b:
         b = _prim(b)[1]
         if len(b) == 1:
-            return _ONE
+            return P_ONE
         a, b = b, _prem(a, b)
     return a
 
@@ -272,7 +246,7 @@ class RatFn:
         if not den:
             raise ZeroDivisionError("RatFn with zero denominator")
         if not num:
-            self.p, self.q, self.n, self.d = 0, 1, P_ZERO, _ONE
+            self.p, self.q, self.n, self.d = 0, 1, P_ZERO, P_ONE
             return
         pn, qn, n = _split(num)
         pd, qd, d = _split(den)
@@ -284,7 +258,7 @@ class RatFn:
         c = Fraction(c)
         if not c:
             return RF_ZERO
-        return _new(c.numerator, c.denominator, _ONE, _ONE)
+        return _new(c.numerator, c.denominator, P_ONE, P_ONE)
 
     # -- views over Q -------------------------------------------------
     @property
@@ -326,7 +300,7 @@ class RatFn:
                 p = sa + sb
                 if not p:
                     return RF_ZERO
-                return _new(*_reduced(p, q), _ONE, self.d)
+                return _new(*_reduced(p, q), P_ONE, self.d)
             n = padd(pscale(self.n, sa), pscale(other.n, sb))
             d = self.d
         else:
@@ -387,7 +361,7 @@ class RatFn:
             if not dn:
                 return RF_ZERO
             c, dn = _prim(dn)
-            return _new(*_reduced(self.p * c, self.q), dn, _ONE)
+            return _new(*_reduced(self.p * c, self.q), dn, P_ONE)
         return _new(*_canon(
             self.p, self.q,
             psub(pmul(pdiff(n), d), pmul(n, pdiff(d))),
@@ -469,9 +443,9 @@ class RatFn:
         return f"RatFn({ratfn_to_str(self)!r})"
 
 
-RF_ZERO = _new(0, 1, P_ZERO, _ONE)
-RF_ONE = _new(1, 1, _ONE, _ONE)
-RF_W = _new(1, 1, (0, 1), _ONE)
+RF_ZERO = _new(0, 1, P_ZERO, P_ONE)
+RF_ONE = _new(1, 1, P_ONE, P_ONE)
+RF_W = _new(1, 1, (0, 1), P_ONE)
 
 
 # -- exact text round-trip (decimal-free) ------------------------------

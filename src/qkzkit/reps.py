@@ -64,7 +64,7 @@ def build_rvw(
     big = word_leg_shape(nf, vword, wword)
     mode = nf.mode
     if off is None:
-        off = ArgShift.none(nf.D)
+        off = ArgShift.none(nf.D, nf.mode)
 
     def rec(vlegs, wlegs):
         if len(vlegs) > 1:
@@ -167,7 +167,7 @@ def build_L(nf: NormalizedFamily, word: ComoduleWord) -> LegMatrix:
     """The evaluation operator of a word on legs [N]^(1+len); leg 1 is the
     auxiliary leg, and the factors Rbar(w - a_k) multiply left-to-right in
     word order."""
-    neutral = ArgShift.none(nf.D)
+    neutral = ArgShift.none(nf.D, nf.mode)
     return ladder(nf, [shift_sub(neutral, a, nf.mode) for a in word.letters])
 
 
@@ -182,8 +182,8 @@ def check_rvw_unitarity(
     p, q = len(vword), len(wword)
     mode = nf.mode
     if off is None:
-        off = ArgShift.none(nf.D)
-    neg = shift_sub(ArgShift.none(nf.D), off, mode)
+        off = ArgShift.none(nf.D, nf.mode)
+    neg = shift_sub(ArgShift.none(nf.D, nf.mode), off, mode)
     rvw = build_rvw(nf, vword, wword, off)
     rwv_neg = build_rvw(nf, wword, vword, neg).map_entries(
         lambda s: s.negate_arg()

@@ -15,7 +15,7 @@ from math import factorial
 
 from .errors import ModeMismatch, NonUnitError, TruncationMismatch
 from .hseries import HSeries, series_inv, series_mul
-from .ratfn import RF_ONE, RF_W, RF_ZERO, RatFn
+from .ratfn import RF_W, RF_ZERO, RatFn
 
 ADDITIVE = "additive"
 MULTIPLICATIVE = "multiplicative"
@@ -153,16 +153,6 @@ class Scalar:
         return Scalar(
             (RF_ZERO,) * k + self.grades[: len(self.grades) - k], self.mode
         )
-
-    def div_h(self, k: int = 1) -> "Scalar":
-        """Divide by h^k when the first k grades vanish.
-
-        The top k grades of the result are beyond the truncation of the
-        input and are filled with zero; use only where that loss is fine.
-        """
-        if any(not g.is_zero for g in self.grades[:k]):
-            raise NonUnitError(f"h-valuation below {k}")
-        return Scalar(self.grades[k:] + (RF_ZERO,) * k, self.mode)
 
     # -- calculus -----------------------------------------------------
     def diff(self) -> "Scalar":

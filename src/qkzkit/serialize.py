@@ -8,7 +8,6 @@ of its grade strings; a LegMatrix is {dims, mode, D, entries}.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 
 from .errors import KernelError
 from .families import ArgShift
@@ -65,7 +64,7 @@ def argshift_to_str(a: ArgShift) -> str:
 
 
 def str_to_argshift(text: str, D: int) -> ArgShift:
-    s = str_to_hseries(text, D)
+    s = str_to_hseries(_typed("point or word factor", text, str), D)
     return ArgShift(s.constant_part, s.positive_part())
 
 
@@ -76,18 +75,29 @@ def word_to_dict(word) -> dict:
 def dict_to_word(d: dict, D: int):
     from .reps import ComoduleWord
 
-    extra = set(d) - {"factors"}
+    extra = set(_typed("word", d, dict)) - {"factors"}
     if extra:
         raise KernelError(f"unknown word fields: {sorted(extra)}")
-    return ComoduleWord(tuple(str_to_argshift(t, D) for t in d["factors"]))
+    factors = _typed("factors", d["factors"], list)
+    return ComoduleWord(tuple(str_to_argshift(t, D) for t in factors))
 
 
 # -- run configuration -------------------------------------------------
 
-_CONFIG_FIELDS = {
-    "family", "N", "D", "suite", "instances", "out", "jobs", "fault",
+#: the JSON type of each config field
+_CONFIG_TYPES = {
+    "family": str, "N": int, "D": int, "suite": str, "instances": list,
+    "out": str, "jobs": int, "fault": str,
 }
 _INSTANCE_FIELDS = {"points", "words", "K"}
+_TYPE_NAMES = {int: "an integer", str: "a string", list: "a list", dict: "an object"}
+
+
+def _typed(name: str, value, kind):
+    """value, checked to be of the JSON type kind (a bool is no integer)."""
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise KernelError(f"{name} must be {_TYPE_NAMES[kind]}, got {value!r}")
+    return value
 
 
 class RunConfig:
@@ -134,11 +144,13 @@ class RunConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "RunConfig":
-        extra = set(d) - _CONFIG_FIELDS
+        extra = set(_typed("config", d, dict)) - set(_CONFIG_TYPES)
         if extra:
             raise KernelError(f"unknown config fields: {sorted(extra)}")
+        for key, value in d.items():
+            _typed(key, value, _CONFIG_TYPES[key])
         for inst in d.get("instances", ()):
-            bad = set(inst) - _INSTANCE_FIELDS
+            bad = set(_typed("instance", inst, dict)) - _INSTANCE_FIELDS
             if bad:
                 raise KernelError(f"unknown instance fields: {sorted(bad)}")
         return RunConfig(
@@ -162,8 +174,9 @@ def decode_instance(d: dict, nf, D: int):
     from .qkz import QKZInstance
     from .reps import ComoduleWord  # noqa: F401  (via dict_to_word)
 
-    points = tuple(str_to_argshift(t, D) for t in d["points"])
-    words = tuple(dict_to_word(w, D) for w in d["words"])
+    points = _typed("points", d["points"], list)
+    points = tuple(str_to_argshift(t, D) for t in points)
+    words = tuple(dict_to_word(w, D) for w in _typed("words", d["words"], list))
     if not points:
         raise KernelError("an instance needs at least one point")
     if any(len(w) == 0 for w in words):
@@ -180,7 +193,7 @@ def decode_instance(d: dict, nf, D: int):
         raise KernelError(
             f"base points need pairwise distinct h^0 parts, got {d['points']}"
         )
-    k = str_to_hseries(d.get("K", "1"), D)
+    k = str_to_hseries(_typed("K", d.get("K", "1"), str), D)
     return QKZInstance(nf, points, words, k)
 
 

@@ -160,10 +160,8 @@ def _rep_words(nf: NormalizedFamily):
             ArgShift.of(Fraction(2), D),
         )
     else:
-        v = ComoduleWord.of(
-            [ArgShift.of(Fraction(2), D), ArgShift.of(Fraction(3), D)], D
-        )
-        w = ComoduleWord.of([ArgShift.of(Fraction(5), D)], D)
+        v = ComoduleWord.of([Fraction(2), Fraction(3)], D)
+        w = ComoduleWord.of([Fraction(5)], D)
         off = ArgShift.of(Fraction(7), D)
         offs = (
             ArgShift.of(Fraction(5), D),
@@ -194,19 +192,13 @@ def suite_reps(nf: NormalizedFamily):
 
 def default_instance(nf: NormalizedFamily, n: int = 3) -> QKZInstance:
     D = nf.D
-    words = tuple(ComoduleWord.of([_unit_letter(nf)], D) for _ in range(n))
+    words = tuple(ComoduleWord.of([ArgShift.none(D, nf.mode)], D) for _ in range(n))
     if nf.mode == "additive":
         zs = [Fraction(0), Fraction(1), Fraction(5, 2), Fraction(9, 2)]
     else:
         zs = [Fraction(1), Fraction(2), Fraction(5), Fraction(11)]
     z = tuple(ArgShift.of(c, D) for c in zs[:n])
     return QKZInstance(nf, z, words, HSeries.constant(1, D))
-
-
-def _unit_letter(nf: NormalizedFamily):
-    if nf.mode == "additive":
-        return Fraction(0)
-    return ArgShift.of(Fraction(1), nf.D)
 
 
 def suite_qkz(nf: NormalizedFamily, instances=None, fault: str | None = None):

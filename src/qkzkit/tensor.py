@@ -17,12 +17,8 @@ from __future__ import annotations
 
 from itertools import count
 
-from .errors import (
-    LiftFailure,
-    ShapeMismatch,
-    SingularMatrix,
-)
-from .ratfn import P_ONE, RF_ONE, RF_ZERO, RatFn, pdeg, peval, plcm, pmul
+from .errors import ShapeMismatch, SingularMatrix
+from .ratfn import P_ONE, RF_ONE, RF_ZERO, pdeg, peval, plcm, pmul
 from .scalar import ADDITIVE, Point, Scalar
 
 
@@ -319,56 +315,6 @@ class LegMatrix:
                 out[r] = out[r] + x * y
         return out
 
-    def nullspace(self):
-        """Basis of the exact kernel, computed grade-by-grade in h.
-
-        Solves the h^0 kernel over the rational-function field, then lifts
-        order-by-order, replaying the one h^0 elimination for every lift;
-        each returned vector v satisfies A v = 0 exactly to order D.
-        Raises LiftFailure on a rank drop that admits no lift.
-        """
-        n = self.shape.total
-        rows0 = [{} for _ in range(n)]
-        for (r, c), v in self.entries.items():
-            if v.grades[0]:
-                rows0[r][c] = v.grades[0]
-        h0 = Elimination(rows0, n)
-        kern0 = h0.kernel()
-        if not kern0:
-            return []
-        # echelonize so each basis vector leads at a distinct coordinate and
-        # vanishes at every other vector's lead; makes the lifts unique
-        rref(kern0, n)
-        kern0 = [v for v in kern0 if any(not x.is_zero for x in v)]
-        pivots = []
-        for v in kern0:
-            p = next(i for i in range(n) if not v[i].is_zero)
-            pivots.append(p)
-        out = []
-        for v0, p in zip(kern0, pivots):
-            lead = v0[p].inv()
-            levels = [[x * lead for x in v0]]
-            for m in range(1, self.D + 1):
-                rhs = [RF_ZERO] * n
-                for k in range(1, m + 1):
-                    part = self.apply_grade(k, levels[m - k])
-                    rhs = [x + y for x, y in zip(rhs, part)]
-                sol = h0.solve([-x for x in rhs])
-                if sol is None:
-                    raise LiftFailure(f"no lift at h-grade {m}")
-                # fix the kernel freedom: zero out every h^0-pivot coordinate
-                for kv, kp in zip(kern0, pivots):
-                    f = sol[kp] / kv[kp]
-                    if not f.is_zero:
-                        sol = [s - f * x for s, x in zip(sol, kv)]
-                levels.append(sol)
-            vec = [
-                Scalar([levels[m][i] for m in range(self.D + 1)], self.mode)
-                for i in range(n)
-            ]
-            out.append(vec)
-        return out
-
     def __repr__(self):
         return f"LegMatrix({self.shape!r}, nnz={len(self.entries)})"
 
@@ -523,6 +469,7 @@ def degree_bounds(factors, D: int) -> list:
     from each factor (a skipped factor counts as the constant 1 at grade 0),
     Lambda_g times the grade-g part is a polynomial in w of degree at most
     B_g.  Per factor and grade m, den is the lcm of the entry denominators
+    (their primitive int parts, so Lambda_g is a primitive int polynomial)
     and delta the largest deg num - deg den; Lambda_g is the lcm over the
     grade compositions of g of the products of dens, which runs factor by
     factor since lcm(a x, a y) = a lcm(x, y), and B_g is deg Lambda_g plus
@@ -534,12 +481,12 @@ def degree_bounds(factors, D: int) -> list:
         for s in _entries(f):
             for m, r in enumerate(s.grades):
                 if r:
-                    d = pdeg(r.num) - pdeg(r.den)
+                    d = pdeg(r.n) - pdeg(r.d)
                     if m in opts:
                         den, delta = opts[m]
-                        opts[m] = (plcm(den, r.den), max(delta, d))
+                        opts[m] = (plcm(den, r.d), max(delta, d))
                     else:
-                        opts[m] = (r.den, d)
+                        opts[m] = (r.d, d)
         nxt: dict = {}
         for g0, (lam0, d0) in reach.items():
             for m, (den, delta) in opts.items():

@@ -115,7 +115,7 @@ class TestCriterion04DeterminantPipeline:
         F = nf.family
         prod = Scalar.one(F.D, F.mode)
         for s in ladder_shifts(F.N, F.D):
-            prod = prod * shift_scalar(nf.f0, ArgShift.of_h(s), F.hshift_scale)
+            prod = prod * shift_scalar(nf.f0, ArgShift.of_h(s, F.mode), F.hshift_scale)
         assert prod == nf.rho.inv()
 
     @pytest.mark.parametrize("name", ["nf_rat2", "nf_rat3", "nf_trig"])

@@ -158,6 +158,32 @@ class TestExitCodes:
         assert run(["--config", cfg]) == EXIT_CONFIG
         assert "zero denominator" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("overrides, instance", [
+        ({"N": 2.7}, None),
+        ({"N": None}, None),
+        ({"D": 1.9}, None),
+        ({"jobs": True}, None),
+        ({"suite": 1}, None),
+        ({"instances": {}}, None),
+        ({}, {"points": "01", "words": [{"factors": ["0"]}] * 2}),
+        ({}, {"points": [0, 1], "words": [{"factors": ["0"]}] * 2}),
+        ({}, {"points": ["0", "1"], "words": [{"factors": "12"}] * 2}),
+        ({}, {"points": ["0", "1"], "words": [{"factors": ["0"]}] * 2, "K": 1}),
+    ], ids=["float-N", "null-N", "float-D", "bool-jobs", "int-suite",
+            "object-instances", "string-points", "int-point", "string-factors",
+            "int-K"])
+    def test_wrong_json_type_is_config_error(
+        self, tmp_path, capsys, overrides, instance
+    ):
+        # each used to crash with an AttributeError traceback, to run
+        # something other than what was written, or to truncate silently
+        if instance is not None:
+            overrides = {"suite": "qkz", "instances": [instance]}
+        cfg = write_cfg(tmp_path, "typed.json", **overrides)
+        assert run(["--config", cfg]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "Traceback" not in err
+
 
 class TestReports:
     def test_report_schema(self, tmp_path):

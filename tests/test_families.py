@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qkzkit.errors import KernelError, PoleError
 from qkzkit.families import (
@@ -15,11 +17,13 @@ from qkzkit.families import (
     default_samples,
     displaced,
     family_from_descriptor,
+    shift_add,
+    shift_sub,
     unitarity_scalar,
 )
 from qkzkit.hseries import HSeries
 from qkzkit.ratfn import RatFn
-from qkzkit.scalar import ADDITIVE, Scalar
+from qkzkit.scalar import ADDITIVE, MULTIPLICATIVE, Scalar
 from qkzkit.suites import run_checks, suite_crossing
 from qkzkit.tensor import LegMatrix
 
@@ -33,6 +37,43 @@ def planted(F, grade, entries):
     return F
 
 
+small = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+
+
+@st.composite
+def argshifts(draw, D=3):
+    """A nonzero constant (a group element in both modes) and an h-part."""
+    c = draw(small.filter(bool))
+    hpart = draw(st.lists(small, min_size=D, max_size=D))
+    return ArgShift(c, HSeries([0] + hpart))
+
+
+class TestArgShiftGroup:
+    """Sigma's group law: additive, or multiplicative in const; the neutral
+    element is stored as its mode's identity."""
+
+    @pytest.mark.parametrize("mode", [ADDITIVE, MULTIPLICATIVE])
+    @given(a=argshifts(), b=argshifts())
+    @settings(max_examples=40, deadline=None)
+    def test_group_law(self, mode, a, b):
+        e = ArgShift.none(3, mode)
+        assert shift_add(e, a, mode) == a == shift_add(a, e, mode)
+        assert shift_sub(a, e, mode) == a
+        assert shift_sub(shift_add(a, b, mode), b, mode) == a
+
+    def test_neutral_is_stored_per_mode(self):
+        t = HSeries.h(3)
+        assert ArgShift.none(3, ADDITIVE).const == 0
+        assert ArgShift.none(3, MULTIPLICATIVE).const == 1
+        assert ArgShift.of_h(t, ADDITIVE) == ArgShift(Fraction(0), t)
+        assert ArgShift.of_h(t, MULTIPLICATIVE) == ArgShift(Fraction(1), t)
+
+    def test_displacing_by_the_neutral_element_is_no_op(self, rat2, trig):
+        for F in (rat2, trig):
+            x = F.base
+            assert displaced(x, ArgShift.none(F.D, F.mode), F.hshift_scale) is x
+
+
 class TestConstruction:
     def test_rational_leading_identity(self, rat2):
         # R = 1 + O(h)
@@ -43,7 +84,7 @@ class TestConstruction:
 
     def test_classical_term_is_swap_like(self, rat2):
         # r = (sigma - 1/N)/w at h^0 of -dR/dh
-        r = rat2.classical_r()
+        r = -rat2.base.grade_matrix(1)
         w_inv = Scalar.coordinate(rat2.D).inv()
         expected = (
             rat2.sigma() - rat2.identity().mul_scalar(
@@ -78,10 +119,9 @@ class TestSamples:
             assert len(s1) >= 5
 
     def test_samples_are_regular(self, trig):
-        from qkzkit.families import _delta
-
         for a, b in default_samples(trig):
-            trig.r_value(_delta(trig, a, b))  # must not raise
+            u2, u3 = ArgShift.of(a, trig.D), ArgShift.of(b, trig.D)
+            trig.r_value(shift_sub(u2, u3, trig.mode))  # must not raise
 
 
 class TestQYBE:

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fraction_poly import euclid_lcm, pdivmod, primitive
 from qkzkit.errors import NonUnitError, ShapeMismatch
 from qkzkit.families import ArgShift, build_rational, shift_scalar
 from qkzkit.hseries import HSeries
@@ -19,7 +20,7 @@ from qkzkit.qdet import (
     pairing_contraction,
     solve_f0,
 )
-from qkzkit.ratfn import RF_ONE, RF_ZERO, RatFn, pdeg, pdivmod, pmul
+from qkzkit.ratfn import RF_ONE, RF_ZERO, RatFn, pdeg, pmul
 from qkzkit.scalar import Point, Scalar
 from qkzkit.suites import run_checks, suite_normalize
 from qkzkit.tensor import Elimination, LegMatrix, certified_grade, degree_bounds
@@ -94,7 +95,7 @@ class TestNormalizingScalar:
         F = nf.family
         prod = Scalar.one(F.D, F.mode)
         for s in ladder_shifts(F.N, F.D):
-            prod = prod * shift_scalar(nf.f0, ArgShift.of_h(s), F.hshift_scale)
+            prod = prod * shift_scalar(nf.f0, ArgShift.of_h(s, F.mode), F.hshift_scale)
         assert prod == nf.rho.inv()
 
     def test_target_must_be_unit_normalized(self, rat2):
@@ -297,6 +298,44 @@ class TestCertifiedPairing:
                 lam, bound = bounds[g]
                 q, rem = pdivmod(pmul(lam, r.num), r.den)
                 assert rem == () and pdeg(q) <= bound
+
+    @pytest.mark.parametrize("raw", [False, True])
+    @pytest.mark.parametrize("name", ["nf_rat3", "nf_trig"])
+    def test_degree_bounds_match_the_monic_fraction_oracle(
+        self, name, raw, request
+    ):
+        # the same max-plus/lcm pass over the monic Fraction views num/den:
+        # per grade the same B_g, and Lambda_g up to a rational unit
+        nf = request.getfixturevalue(name)
+        factors, _ = pairing_contraction(nf, pairing_points(nf), raw=raw)
+        one = (Fraction(1),)
+        reach = {0: (one, 0)}
+        for f in factors:
+            opts = {0: (one, 0)}
+            entries = f.entries if isinstance(f, LegMatrix) else f
+            for s in entries.values():
+                for m, r in enumerate(s.grades):
+                    if r:
+                        d = pdeg(r.num) - pdeg(r.den)
+                        if m in opts:
+                            den, delta = opts[m]
+                            opts[m] = (euclid_lcm(den, r.den), max(delta, d))
+                        else:
+                            opts[m] = (r.den, d)
+            nxt = {}
+            for g0, (lam0, d0) in reach.items():
+                for m, (den, delta) in opts.items():
+                    if g0 + m <= nf.D:
+                        lam, d = pmul(lam0, den), d0 + delta
+                        if g0 + m in nxt:
+                            lam1, d1 = nxt[g0 + m]
+                            lam, d = euclid_lcm(lam1, lam), max(d1, d)
+                        nxt[g0 + m] = (lam, d)
+            reach = nxt
+        bounds = degree_bounds(factors, nf.D)
+        assert [g for g, b in enumerate(bounds) if b] == sorted(reach)
+        for g, (lam, d) in reach.items():
+            assert bounds[g] == (primitive(lam), pdeg(lam) + d)
 
     @pytest.mark.parametrize("name", ["nf_rat2", "nf_trig"])
     def test_planted_h3_fault_in_rbar(self, name, request):

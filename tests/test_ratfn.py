@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fraction_poly import euclid_gcd, euclid_lcm, pdivmod, pmonic, primitive
 from qkzkit.errors import PoleError
 from qkzkit.ratfn import (
     P_ONE,
@@ -11,10 +12,8 @@ from qkzkit.ratfn import (
     RF_W,
     RF_ZERO,
     RatFn,
-    pdivmod,
     pgcd,
     plcm,
-    pmonic,
     pmul,
     ptrim,
     ratfn_to_str,
@@ -65,13 +64,6 @@ class TestCanonicalForm:
         assert scaled == r
 
 
-def euclid_gcd(a, b):
-    """Monic gcd by the plain Euclidean algorithm, with no shortcut."""
-    while b:
-        a, b = b, pdivmod(a, b)[1]
-    return pmonic(a)
-
-
 def euclid_canonical(num, den):
     """(num, den) reduced by euclid_gcd, denominator made monic."""
     g = euclid_gcd(num, den)
@@ -84,18 +76,21 @@ nonzero_polys = polys.map(ptrim).filter(bool)
 
 
 class TestConstantGcd:
+    """pgcd of the primitive int parts against the Fraction Euclid oracle."""
+
     @given(constants, polys.map(ptrim))
     @settings(max_examples=60, deadline=None)
     def test_pgcd_with_a_constant_is_euclidean(self, c, p):
-        assert pgcd(c, p) == euclid_gcd(c, p) == P_ONE
-        assert pgcd(p, c) == euclid_gcd(p, c) == P_ONE
+        cz, pz = primitive(c), primitive(p)
+        assert pgcd(cz, pz) == euclid_gcd(c, p) == P_ONE
+        assert pgcd(pz, cz) == euclid_gcd(p, c) == P_ONE
 
     @given(nonzero_polys, nonzero_polys, nonzero_polys)
     @settings(max_examples=60, deadline=None)
     def test_pgcd_with_a_common_factor_is_euclidean(self, a, b, g):
         # the shortcut must not fire once a side has positive degree
         a, b = pmul(a, g), pmul(b, g)
-        assert pgcd(a, b) == euclid_gcd(a, b)
+        assert pgcd(primitive(a), primitive(b)) == primitive(euclid_gcd(a, b))
 
     @given(constants, nonzero_polys)
     @settings(max_examples=60, deadline=None)
@@ -109,11 +104,14 @@ class TestLcm:
     @given(nonzero_polys, nonzero_polys, nonzero_polys)
     @settings(max_examples=60, deadline=None)
     def test_lcm_is_the_least_common_multiple(self, a, b, g):
-        # of monic inputs: both divide it, and it times the gcd is a * b
-        a, b = pmonic(pmul(a, g)), pmonic(pmul(b, g))
+        # of primitive int inputs: both divide it, it times the gcd is
+        # a * b, and it is the primitive form of the monic lcm
+        a, b = primitive(pmul(a, g)), primitive(pmul(b, g))
         m = plcm(a, b)
+        assert all(type(c) is int for c in m)
         assert pdivmod(m, a)[1] == () and pdivmod(m, b)[1] == ()
         assert pmul(m, pgcd(a, b)) == pmul(a, b)
+        assert m == primitive(euclid_lcm(a, b))
 
 
 class TestFieldAxioms:

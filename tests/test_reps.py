@@ -96,7 +96,7 @@ class TestBraiding:
     def test_braidings_compose_to_identity(self, name, request):
         nf = request.getfixturevalue(name)
         v, w, off = words_for(nf)
-        neg = shift_sub(ArgShift.none(nf.D), off, nf.mode)
+        neg = shift_sub(ArgShift.none(nf.D, nf.mode), off, nf.mode)
         b_vw = build_braiding(nf, v, w, off)
         b_wv = build_braiding(nf, w, v, neg).map_entries(
             lambda s: s.negate_arg()

@@ -172,10 +172,6 @@ class TestMultiplicativeCoordinate:
 
 
 class TestHGrading:
-    def test_times_div_round_trip(self):
-        s = Scalar.coordinate(D)
-        assert s.times_h().div_h() == s
-
     def test_first_nonzero_grade(self):
         assert Scalar.zero(D).first_nonzero_grade() is None
         assert Scalar.one(D).first_nonzero_grade() == 0
