@@ -15,7 +15,7 @@ import warnings
 from pathlib import Path
 
 from .families import RMatrixFamily
-from .qdet import NormalizedFamily, QDetData, normalize
+from .qdet import NormalizedFamily, QDetData, ladder_shifts, normalize
 from .serialize import list_to_scalar, scalar_to_list
 
 ENV_VAR = "QKZ_CACHE_DIR"
@@ -54,16 +54,11 @@ def _encode(nf: NormalizedFamily) -> dict:
 
 def _decode(payload: dict, F: RMatrixFamily) -> NormalizedFamily:
     mode = F.mode
-    from .qdet import ladder_shifts
-
     coeffs = {
         tuple(int(i) for i in key.split(",")): list_to_scalar(items, mode)
         for key, items in payload["coeffs"].items()
     }
     qd = QDetData(
-        F.N,
-        F.D,
-        mode,
         tuple(ladder_shifts(F.N, F.D)),
         coeffs,
         list_to_scalar(payload["eigenvalue"], mode),
@@ -73,11 +68,10 @@ def _decode(payload: dict, F: RMatrixFamily) -> NormalizedFamily:
     return NormalizedFamily(F, qd, rho, f0)
 
 
-def load_normalized(F: RMatrixFamily, use_cache: bool = True) -> NormalizedFamily:
+def load_normalized(F: RMatrixFamily) -> NormalizedFamily:
     """Normalized family via the cache; recomputes (and warns) on a missing,
-    unreadable, or tampered entry."""
-    if not use_cache:
-        return normalize(F)
+    unreadable, or tampered entry, and only warns when the entry cannot be
+    written."""
     path = cache_dir() / f"{_key(F)}.json"
     if path.exists():
         try:
@@ -93,9 +87,13 @@ def load_normalized(F: RMatrixFamily, use_cache: bool = True) -> NormalizedFamil
             warnings.warn(f"cache entry {path} unusable ({e}); recomputing")
     nf = normalize(F)
     payload = _encode(nf)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(".tmp")
-    with open(tmp, "w") as f:
-        json.dump({"payload": payload, "digest": _payload_digest(payload)}, f)
-    os.replace(tmp, path)
+    # a per-process temporary name, so concurrent runs never share one
+    tmp = path.with_suffix(f".{os.getpid()}.tmp")
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(tmp, "w") as f:
+            json.dump({"payload": payload, "digest": _payload_digest(payload)}, f)
+        os.replace(tmp, path)
+    except OSError as e:
+        warnings.warn(f"cache entry {path} not written ({e})")
     return nf

@@ -35,11 +35,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--out", default=None, help="write the JSON report here")
     p.add_argument(
-        "--jobs", type=int, default=None,
-        help="accepted; checks run serially; the report does not depend on it",
-    )
-    p.add_argument(
-        "--d-override", type=int, default=None,
+        "--d-override", dest="D", type=int, default=None,
         help="override the h-adic truncation order D",
     )
     return p
@@ -52,22 +48,11 @@ def collect_specs(cfg: RunConfig, F, suite: str):
 
 
 def run(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = vars(build_parser().parse_args(argv))
+    path = args.pop("config")
     try:
-        cfg = RunConfig.load(args.config)
-        if args.suite:
-            cfg.suite = args.suite
-        if args.jobs is not None:
-            cfg.jobs = args.jobs
-        if args.out is not None:
-            cfg.out = args.out
-        if args.d_override is not None:
-            cfg.D = args.d_override
-        least_d = max(d for d, _, _ in suite_rows(cfg.suite))
-        if cfg.D < least_d:
-            raise KernelError(
-                f"suite {cfg.suite!r} needs D >= {least_d}, got {cfg.D}"
-            )
+        # the given options replace the config's fields of the same name
+        cfg = RunConfig.load(path, **{k: v for k, v in args.items() if v is not None})
         F = family_from_descriptor(
             {"family": cfg.family, "N": cfg.N, "D": cfg.D}
         )

@@ -178,13 +178,11 @@ def build_trigonometric(N: int = 2, D: int = 4) -> RMatrixFamily:
     return RMatrixFamily(TRIGONOMETRIC, N, D)
 
 
-def family_from_descriptor(desc: dict, d_override: int | None = None) -> RMatrixFamily:
+def family_from_descriptor(desc: dict) -> RMatrixFamily:
     family = desc.get("family")
     if family == "elliptic":
         raise KernelError("elliptic family out of scope")
-    N = int(desc.get("N", 2))
-    D = int(d_override if d_override is not None else desc.get("D", 4))
-    return RMatrixFamily(family, N, D)
+    return RMatrixFamily(family, desc.get("N", 2), desc.get("D", 4))
 
 
 def _build_rational_matrix(N: int, D: int) -> LegMatrix:

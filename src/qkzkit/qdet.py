@@ -48,9 +48,6 @@ class QDetData:
     vector is normalized so the coefficient at (0, 1, ..., N-1) is exactly 1.
     """
 
-    N: int
-    D: int
-    mode: str
     shifts: tuple
     coeffs: dict
     eigenvalue: Scalar
@@ -185,7 +182,7 @@ def find_qdet_vector(F: RMatrixFamily) -> QDetData:
             want = [Scalar.zero(D, F.mode)] * T
         if any(not (x - y).is_zero for x, y in zip(got, want)):
             raise LiftFailure("eigen-equation residual is nonzero")
-    return QDetData(N, D, F.mode, tuple(shifts), coeffs, eig)
+    return QDetData(tuple(shifts), coeffs, eig)
 
 
 def contract(coeffs: dict, mats) -> LegMatrix:

@@ -8,7 +8,7 @@ evaluated at differences of base points, acting on the full fiber.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import KernelError, ShapeMismatch
 from .families import ArgShift
@@ -139,21 +139,12 @@ def check_flatness(inst: QKZInstance, fault: str | None = None):
 
 def check_commutativity_at_zero_step(inst: QKZInstance):
     """With K = -N the step vanishes and flatness degenerates to
-    commutativity of the nabla's at a fixed base point; returns the least
-    first nonzero grade of the commutators, or None."""
-    zero_k = QKZInstance(
-        inst.nf,
-        inst.z,
-        inst.words,
-        HSeries.constant(-inst.nf.N, inst.nf.D),
+    commutativity of the nabla's at a fixed base point: each flatness
+    residual is minus a commutator.  Returns the least first nonzero grade
+    of the commutators, or None."""
+    return check_flatness(
+        replace(inst, K=HSeries.constant(-inst.nf.N, inst.nf.D))
     )
-    grades = []
-    for i in range(1, inst.n + 1):
-        for j in range(i + 1, inst.n + 1):
-            a = build_nabla(zero_k, i)
-            b = build_nabla(zero_k, j)
-            grades.append((a * b - b * a).first_nonzero_grade())
-    return least_grade(grades)
 
 
 def check_translation_invariance(inst: QKZInstance, t):

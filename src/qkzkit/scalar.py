@@ -15,7 +15,7 @@ from math import factorial
 
 from .errors import ModeMismatch, NonUnitError, TruncationMismatch
 from .hseries import HSeries, series_inv, series_mul
-from .ratfn import RF_W, RF_ZERO, RatFn
+from .ratfn import RF_W, RF_ZERO, RatFn, ratfn_to_str
 
 ADDITIVE = "additive"
 MULTIPLICATIVE = "multiplicative"
@@ -148,12 +148,6 @@ class Scalar:
         inv0 = self.grades[0].inv()
         return Scalar(series_inv(self.grades, inv0, RF_ZERO), self.mode)
 
-    def times_h(self, k: int = 1) -> "Scalar":
-        """Multiply by h^k (top grades truncated away)."""
-        return Scalar(
-            (RF_ZERO,) * k + self.grades[: len(self.grades) - k], self.mode
-        )
-
     # -- calculus -----------------------------------------------------
     def diff(self) -> "Scalar":
         return Scalar([g.diff() for g in self.grades], self.mode)
@@ -248,9 +242,8 @@ class Scalar:
         return hash((self.grades, self.mode))
 
     def __repr__(self):
-        from .serialize import scalar_to_str
-
-        return f"Scalar({scalar_to_str(self)!r}, {self.mode})"
+        text = " ; ".join(ratfn_to_str(g) for g in self.grades)
+        return f"Scalar({text!r}, {self.mode})"
 
 
 def _taylor(base: Scalar, delta: Scalar) -> Scalar:

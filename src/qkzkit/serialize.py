@@ -12,8 +12,9 @@ import json
 from .errors import KernelError
 from .families import ArgShift
 from .hseries import HSeries, hseries_to_str, str_to_hseries
-from .qkz import FAULTS
+from .qkz import FAULTS, QKZInstance
 from .ratfn import ratfn_to_str, str_to_ratfn
+from .reps import ComoduleWord
 from .scalar import ADDITIVE, MULTIPLICATIVE, Scalar
 from .tensor import LegMatrix, LegShape
 
@@ -24,14 +25,6 @@ def scalar_to_list(s: Scalar) -> list:
 
 def list_to_scalar(items, mode: str = ADDITIVE) -> Scalar:
     return Scalar([str_to_ratfn(t) for t in items], mode)
-
-
-def scalar_to_str(s: Scalar) -> str:
-    return " ; ".join(scalar_to_list(s))
-
-
-def str_to_scalar(text: str, mode: str = ADDITIVE) -> Scalar:
-    return list_to_scalar(text.split(" ; "), mode)
 
 
 def legmatrix_to_dict(m: LegMatrix) -> dict:
@@ -68,13 +61,7 @@ def str_to_argshift(text: str, D: int) -> ArgShift:
     return ArgShift(s.constant_part, s.positive_part())
 
 
-def word_to_dict(word) -> dict:
-    return {"factors": [argshift_to_str(a) for a in word.letters]}
-
-
 def dict_to_word(d: dict, D: int):
-    from .reps import ComoduleWord
-
     extra = set(_typed("word", d, dict)) - {"factors"}
     if extra:
         raise KernelError(f"unknown word fields: {sorted(extra)}")
@@ -87,7 +74,7 @@ def dict_to_word(d: dict, D: int):
 #: the JSON type of each config field
 _CONFIG_TYPES = {
     "family": str, "N": int, "D": int, "suite": str, "instances": list,
-    "out": str, "jobs": int, "fault": str,
+    "out": str, "fault": str,
 }
 _INSTANCE_FIELDS = {"points", "words", "K"}
 _TYPE_NAMES = {int: "an integer", str: "a string", list: "a list", dict: "an object"}
@@ -101,30 +88,39 @@ def _typed(name: str, value, kind):
 
 
 class RunConfig:
+    """A validated run: every value rule is checked here, once."""
+
     def __init__(
         self,
         family: str,
-        N: int,
-        D: int,
+        N: int = 2,
+        D: int = 4,
         suite: str = "all",
         instances=(),
         out: str | None = None,
-        jobs: int = 1,
         fault: str | None = None,
     ):
-        from .suites import SUITE_NAMES  # suites imports this module
+        from .suites import SUITE_NAMES, suite_rows  # suites imports this module
 
+        _typed("N", N, int)
+        _typed("D", D, int)
         if suite not in SUITE_NAMES:
             raise KernelError(f"unknown suite {suite!r}")
         if fault is not None and fault not in FAULTS:
             raise KernelError(f"unknown fault {fault!r}; known: {list(FAULTS)}")
+        least_d = max(d for d, _, _ in suite_rows(suite))
+        if D < least_d:
+            raise KernelError(f"suite {suite!r} needs D >= {least_d}, got {D}")
+        if (instances or fault is not None) and suite not in ("qkz", "all"):
+            raise KernelError(
+                f"instances and fault apply only with suite qkz or all, not {suite!r}"
+            )
         self.family = family
-        self.N = int(N)
-        self.D = int(D)
+        self.N = N
+        self.D = D
         self.suite = suite
         self.instances = list(instances)  # raw dicts; decoded lazily
         self.out = out
-        self.jobs = int(jobs)  # echoed only: checks run serially
         self.fault = fault
 
     def to_dict(self) -> dict:
@@ -134,7 +130,6 @@ class RunConfig:
             "D": self.D,
             "suite": self.suite,
             "instances": self.instances,
-            "jobs": self.jobs,
         }
         if self.out is not None:
             d["out"] = self.out
@@ -143,7 +138,9 @@ class RunConfig:
         return d
 
     @staticmethod
-    def from_dict(d: dict) -> "RunConfig":
+    def from_dict(d: dict, **overrides) -> "RunConfig":
+        """The config of a JSON object, with overrides (already typed, such
+        as command-line values) replacing its fields."""
         extra = set(_typed("config", d, dict)) - set(_CONFIG_TYPES)
         if extra:
             raise KernelError(f"unknown config fields: {sorted(extra)}")
@@ -153,27 +150,16 @@ class RunConfig:
             bad = set(_typed("instance", inst, dict)) - _INSTANCE_FIELDS
             if bad:
                 raise KernelError(f"unknown instance fields: {sorted(bad)}")
-        return RunConfig(
-            family=d["family"],
-            N=d.get("N", 2),
-            D=d.get("D", 4),
-            suite=d.get("suite", "all"),
-            instances=d.get("instances", ()),
-            out=d.get("out"),
-            jobs=d.get("jobs", 1),
-            fault=d.get("fault"),
-        )
+        fields = {**d, **overrides}
+        return RunConfig(fields.pop("family"), **fields)
 
     @staticmethod
-    def load(path: str) -> "RunConfig":
+    def load(path: str, **overrides) -> "RunConfig":
         with open(path) as f:
-            return RunConfig.from_dict(json.load(f))
+            return RunConfig.from_dict(json.load(f), **overrides)
 
 
 def decode_instance(d: dict, nf, D: int):
-    from .qkz import QKZInstance
-    from .reps import ComoduleWord  # noqa: F401  (via dict_to_word)
-
     points = _typed("points", d["points"], list)
     points = tuple(str_to_argshift(t, D) for t in points)
     words = tuple(dict_to_word(w, D) for w in _typed("words", d["words"], list))
@@ -195,11 +181,3 @@ def decode_instance(d: dict, nf, D: int):
         )
     k = str_to_hseries(_typed("K", d.get("K", "1"), str), D)
     return QKZInstance(nf, points, words, k)
-
-
-def encode_instance(inst) -> dict:
-    return {
-        "points": [argshift_to_str(z) for z in inst.z],
-        "words": [word_to_dict(w) for w in inst.words],
-        "K": hseries_to_str(inst.K),
-    }

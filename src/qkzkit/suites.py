@@ -263,8 +263,7 @@ def build_report(results, config_dict, D: int) -> dict:
         "environment": {
             "version": __version__,
             "D": D,
-            "determinism": "seed-free; exact arithmetic; report content "
-            "independent of the parallelism degree",
+            "determinism": "seed-free; exact arithmetic",
         },
         "config": config_dict,
         "checks": [r.to_dict() for r in results],

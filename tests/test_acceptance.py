@@ -252,26 +252,29 @@ class TestCriterion10QuasiclassicalLimit:
 
 
 class TestCriterion11DeterminismAndRoundTrip:
-    """Reports are byte-identical across runs and parallelism degrees
-    (modulo timing fields); configurations round-trip exactly; the CLI
-    exit-code contract holds end to end."""
+    """Reports are byte-identical across runs and cache states (modulo
+    timing fields); configurations round-trip exactly; the CLI exit-code
+    contract holds end to end."""
 
     def _write(self, tmp_path, name, cfg):
         path = tmp_path / name
         path.write_text(json.dumps(cfg))
         return str(path)
 
-    def test_reports_identical_across_runs_and_jobs(self, tmp_path):
+    def test_reports_identical_across_runs_and_cache_states(
+        self, tmp_path, monkeypatch
+    ):
+        # a cold run fills the cache, a warm run reads it, and a run on a
+        # second, empty cache directory computes the normalization again
         cfg = self._write(
             tmp_path, "cfg.json",
-            {"family": "rational", "N": 2, "D": 2, "suite": "qybe"},
+            {"family": "rational", "N": 2, "D": 2, "suite": "normalize"},
         )
         paths = [tmp_path / f"r{k}.json" for k in range(3)]
         assert run(["--config", cfg, "--out", str(paths[0])]) == EXIT_OK
         assert run(["--config", cfg, "--out", str(paths[1])]) == EXIT_OK
-        assert run(
-            ["--config", cfg, "--out", str(paths[2]), "--jobs", "4"]
-        ) == EXIT_OK
+        monkeypatch.setenv("QKZ_CACHE_DIR", str(tmp_path / "second-cache"))
+        assert run(["--config", cfg, "--out", str(paths[2])]) == EXIT_OK
         reports = [json.loads(p.read_text()) for p in paths]
 
         def strip(rep):
@@ -290,7 +293,6 @@ class TestCriterion11DeterminismAndRoundTrip:
                 "words": [{"factors": ["1"]}] * 3,
                 "K": "1",
             }],
-            jobs=3,
         )
         assert RunConfig.from_dict(cfg.to_dict()).to_dict() == cfg.to_dict()
 

@@ -1,7 +1,9 @@
 import json
+import os
 import warnings
 
-from qkzkit.cache import cache_dir, load_normalized
+from qkzkit.cache import ENV_VAR, _key, cache_dir, load_normalized
+from qkzkit.cli import EXIT_OK, run
 from qkzkit.families import build_rational
 
 
@@ -53,7 +55,44 @@ class TestCache:
         load_normalized(build_rational(3, 2))
         assert len(list(cache_dir().glob("*.json"))) == 2
 
-    def test_use_cache_false_bypasses_disk(self):
+    def test_unwritable_directory_only_warns(self, tmp_path, monkeypatch):
+        # a cache directory under a regular file used to compute the
+        # normalization and then exit 2 with "[Errno 20] Not a directory"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(
+            {"family": "rational", "N": 2, "D": 2, "suite": "normalize"}
+        ))
+
+        def report(name):
+            out = tmp_path / name
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                assert run(["--config", str(cfg), "--out", str(out)]) == EXIT_OK
+            rep = json.loads(out.read_text())
+            for c in rep["checks"]:
+                del c["wall_time_ms"]
+            del rep["config"]["out"]
+            return rep, [str(w.message) for w in caught]
+
+        writable, none = report("writable.json")
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        monkeypatch.setenv(ENV_VAR, str(blocker / "cache"))
+        unwritable, caught = report("unwritable.json")
+        assert none == [] and len(caught) == 1 and "not written" in caught[0]
+        assert unwritable == writable
+
+    def test_temporary_name_carries_the_pid(self, monkeypatch):
+        # a fixed <key>.tmp let two concurrent runs truncate each other's file
         F = build_rational(2, 2)
-        load_normalized(F, use_cache=False)
-        assert not list(cache_dir().glob("*.json"))
+        replaced = []
+        real_replace = os.replace
+
+        def recording(src, dst):
+            replaced.append((os.path.basename(src), os.path.basename(dst)))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "getpid", lambda: 4242)
+        monkeypatch.setattr(os, "replace", recording)
+        load_normalized(F)
+        assert replaced == [(f"{_key(F)}.4242.tmp", f"{_key(F)}.json")]

@@ -42,6 +42,39 @@ class TestExitCodes:
         path.write_text(json.dumps({"family": "rational", "bogus": 1}))
         assert run(["--config", str(path)]) == EXIT_CONFIG
 
+    def test_jobs_field_is_unknown(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, "jobs.json", jobs=1)
+        assert run(["--config", cfg]) == EXIT_CONFIG
+        assert "unknown config fields: ['jobs']" in capsys.readouterr().err
+
+    def test_jobs_option_is_usage_error(self, tmp_path):
+        cfg = write_cfg(tmp_path, "ok.json")
+        with pytest.raises(SystemExit) as e:
+            run(["--config", cfg, "--jobs", "4"])
+        assert e.value.code == EXIT_CONFIG
+
+    @pytest.mark.parametrize("suite", ["qybe", "crossing", "normalize", "reps"])
+    @pytest.mark.parametrize("extra", [
+        {"fault": "drop-step-shift"},
+        {"instances": [{"points": ["0", "0"], "words": []}]},
+    ], ids=["fault", "instances"])
+    @pytest.mark.parametrize("through", ["config", "option"])
+    def test_qkz_fields_without_qkz_rows_are_config_error(
+        self, tmp_path, capsys, suite, extra, through
+    ):
+        # both used to exit 0: the fault was echoed although no check
+        # applied it, and the instance was never decoded
+        if through == "config":
+            cfg = write_cfg(tmp_path, "qkz.json", suite=suite, **extra)
+            argv = ["--config", cfg]
+        else:
+            cfg = write_cfg(tmp_path, "qkz.json", suite="qkz", **extra)
+            argv = ["--config", cfg, "--suite", suite]
+        assert run(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "Traceback" not in err
+        assert f"apply only with suite qkz or all, not {suite!r}" in err
+
     def test_unparsable_config(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -162,14 +195,14 @@ class TestExitCodes:
         ({"N": 2.7}, None),
         ({"N": None}, None),
         ({"D": 1.9}, None),
-        ({"jobs": True}, None),
+        ({"D": True}, None),
         ({"suite": 1}, None),
         ({"instances": {}}, None),
         ({}, {"points": "01", "words": [{"factors": ["0"]}] * 2}),
         ({}, {"points": [0, 1], "words": [{"factors": ["0"]}] * 2}),
         ({}, {"points": ["0", "1"], "words": [{"factors": "12"}] * 2}),
         ({}, {"points": ["0", "1"], "words": [{"factors": ["0"]}] * 2, "K": 1}),
-    ], ids=["float-N", "null-N", "float-D", "bool-jobs", "int-suite",
+    ], ids=["float-N", "null-N", "float-D", "bool-D", "int-suite",
             "object-instances", "string-points", "int-point", "string-factors",
             "int-K"])
     def test_wrong_json_type_is_config_error(
@@ -199,16 +232,22 @@ class TestReports:
                 "wall_time_ms",
             }
 
-    def test_determinism_across_jobs(self, tmp_path):
-        cfg = write_cfg(tmp_path, "ok.json", suite="qybe")
+    def test_overrides_match_config_values(self, tmp_path):
+        # --suite and --d-override give the report of a config that names
+        # the same values
+        given = write_cfg(tmp_path, "given.json", suite="crossing", D=3)
+        other = write_cfg(tmp_path, "other.json", suite="qybe")
         a_path, b_path = tmp_path / "a.json", tmp_path / "b.json"
-        assert run(["--config", cfg, "--out", str(a_path)]) == EXIT_OK
-        assert run(
-            ["--config", cfg, "--out", str(b_path), "--jobs", "4"]
-        ) == EXIT_OK
+        assert run(["--config", given, "--out", str(a_path)]) == EXIT_OK
+        assert run([
+            "--config", other, "--suite", "crossing", "--d-override", "3",
+            "--out", str(b_path),
+        ]) == EXIT_OK
         a = json.loads(a_path.read_text())
         b = json.loads(b_path.read_text())
         assert strip_timing(a) == strip_timing(b)
+        del a["config"]["out"], b["config"]["out"]
+        assert a["config"] == b["config"] and a["environment"] == b["environment"]
 
     def test_suite_and_d_override(self, tmp_path):
         cfg = write_cfg(tmp_path, "ok.json", suite="qybe")

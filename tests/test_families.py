@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from planting import planted
 
 from qkzkit.errors import KernelError, PoleError
 from qkzkit.families import (
@@ -25,16 +26,6 @@ from qkzkit.hseries import HSeries
 from qkzkit.ratfn import RatFn
 from qkzkit.scalar import ADDITIVE, MULTIPLICATIVE, Scalar
 from qkzkit.suites import run_checks, suite_crossing
-from qkzkit.tensor import LegMatrix
-
-
-def planted(F, grade, entries):
-    """F with its R replaced by R + h^grade E, E the constant matrix with
-    the given {(row, col): rational} entries."""
-    one = Scalar.one(F.D, F.mode).times_h(grade)
-    E = {rc: one.scale(Fraction(c)) for rc, c in entries.items()}
-    F._base = F.base + LegMatrix(F.base.shape, E, F.D, F.mode)
-    return F
 
 
 small = st.fractions(min_value=-5, max_value=5, max_denominator=4)
@@ -138,6 +129,15 @@ class TestQYBE:
         for F in (rat2, trig):
             assert check_classical_ybe(F) is None
 
+    @pytest.mark.parametrize("build", [build_rational, build_trigonometric])
+    @pytest.mark.parametrize("g, grade", [(2, 3), (3, 4), (4, None)])
+    def test_planted_fault_reports_its_grade(self, build, g, grade):
+        # R + h^g E with R_0 = Id: at grade g both sides of the braid
+        # relation gain the same sum E12 + E13 + E23, which cancels; the
+        # first grade that differs is g + 1, where E meets the classical r
+        # in a different order on each side (past D = 4 when g = 4)
+        assert check_qybe(planted(build(2, 4), g)) == grade
+
 
 class TestCrossingAndUnitarity:
     @pytest.mark.parametrize("name", ["rat2", "rat3", "trig"])
@@ -151,9 +151,8 @@ class TestCrossingAndUnitarity:
         # displaced R all gain h^3 E, so crossing still holds through h^3
         # (D = 3 is exact) and first fails at h^4; R R21(-w) gains
         # h^3 (E + E21), which is not scalar
-        E = {(0, 1): 1, (2, 3): Fraction(-2, 3), (1, 1): 5}
-        assert check_crossing(planted(build(2, 3), 3, E)) is None
-        F = planted(build(2, 4), 3, E)
+        assert check_crossing(planted(build(2, 3), 3)) is None
+        F = planted(build(2, 4), 3)
         assert check_crossing(F) == 4
         assert check_unitarity(F) == 3
         results = {r.name: r for r in run_checks(suite_crossing(F))}

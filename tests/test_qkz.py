@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from planting import planted_nf
 
 from qkzkit import qkz
 from qkzkit.errors import ShapeMismatch
@@ -19,7 +20,7 @@ from qkzkit.qkz import (
 )
 from qkzkit.reps import ComoduleWord, build_braiding
 from qkzkit.scalar import Scalar
-from qkzkit.tensor import LegMatrix
+from qkzkit.tensor import LegMatrix, least_grade
 
 
 def make_instance(nf, n=3, second_base=False):
@@ -36,6 +37,22 @@ def make_instance(nf, n=3, second_base=False):
             zs = [Fraction(3), Fraction(7), Fraction(13), Fraction(29)]
     z = tuple(ArgShift.of(c, D) for c in zs[:n])
     return QKZInstance(nf, z, words, HSeries.constant(1, D))
+
+
+def commutator_grade(inst):
+    """The oracle for check_commutativity_at_zero_step: the least first
+    nonzero grade of the commutators of the nabla's at K = -N, multiplied
+    out."""
+    zero_k = QKZInstance(
+        inst.nf, inst.z, inst.words, HSeries.constant(-inst.nf.N, inst.nf.D)
+    )
+    grades = []
+    for i in range(1, inst.n + 1):
+        for j in range(i + 1, inst.n + 1):
+            a = build_nabla(zero_k, i)
+            b = build_nabla(zero_k, j)
+            grades.append((a * b - b * a).first_nonzero_grade())
+    return least_grade(grades)
 
 
 class TestInstance:
@@ -150,6 +167,21 @@ class TestFlatness:
     def test_zero_step_commutativity(self, nf_rat2):
         inst = make_instance(nf_rat2, 3)
         assert check_commutativity_at_zero_step(inst) is None
+
+    @pytest.mark.parametrize("name, g, grade", [
+        ("nf_rat2", None, None), ("nf_rat2", 2, 4), ("nf_rat2", 3, None),
+        ("nf_trig", None, None), ("nf_trig", 2, 3), ("nf_trig", 3, 4),
+    ])
+    def test_zero_step_commutativity_matches_the_commutators(
+        self, name, g, grade, request
+    ):
+        # with kappa = 0 each flatness residual is minus the commutator of
+        # nabla_i and nabla_j, so both read the same grade, with and
+        # without Rbar + h^g E planted
+        nf = request.getfixturevalue(name)
+        inst = make_instance(nf if g is None else planted_nf(nf, g), 3)
+        assert commutator_grade(inst) == grade
+        assert check_commutativity_at_zero_step(inst) == grade
 
     def test_translation_invariance(self, nf_rat2):
         inst = make_instance(nf_rat2, 3)

@@ -1,9 +1,11 @@
 from fractions import Fraction
 
 import pytest
+from planting import planted_nf
 
 from qkzkit import reps
 from qkzkit.families import ArgShift
+from qkzkit.hseries import HSeries
 from qkzkit.reps import (
     ComoduleWord,
     block_swap,
@@ -71,7 +73,7 @@ class TestBuildRvw:
             if len(vword) != 1:
                 return m
             ident = LegMatrix.identity(m.shape, m.D, m.mode)
-            return m + ident.mul_scalar(Scalar.one(m.D, m.mode).times_h(3))
+            return m + ident.mul_scalar(Scalar.from_hseries(HSeries.h(m.D, 3), m.mode))
 
         monkeypatch.setattr(reps, "build_rvw", bumped)
         assert check_hexagon(nf, v, w, off) == 3
@@ -161,3 +163,23 @@ class TestEvaluationOperator:
         monkeypatch.setattr(LegMatrix, "__mul__", counting)
         build_L(nf_rat2, ComoduleWord.of([Fraction(1), Fraction(2)], nf_rat2.D))
         assert len(calls) == 1
+
+
+class TestPlantedFaults:
+    @pytest.mark.parametrize("name", ["nf_rat2", "nf_trig"])
+    @pytest.mark.parametrize("g", [2, 3, 4])
+    def test_product_rows_report_their_grade(self, name, g, request):
+        # Rbar + h^g E with Rbar_0 = Id.  Two-word unitarity gains
+        # E + E21(-w) at grade g, which is not zero.  In the mixed braid
+        # relation and the intertwiner the grade-g terms are the same sum
+        # of E's on both sides and cancel; the first grade that differs is
+        # g + 1, where E meets the classical r in a different order (past
+        # D = 4 when g = 4)
+        nf = planted_nf(request.getfixturevalue(name), g)
+        late = f"fails-at-grade-{g + 1}" if g < nf.D else "exact-zero"
+        specs = [s for s in suite_reps(nf) if s[0] != "hexagon"]
+        assert {r.name: r.status for r in run_checks(specs)} == {
+            "rvw-unitarity": f"fails-at-grade-{g}",
+            "mixed-ybe": late,
+            "intertwiner": late,
+        }

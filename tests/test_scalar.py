@@ -56,10 +56,10 @@ class TestRingAxioms:
     def test_truth_value_is_nonzero(self, a):
         assert bool(a) == (not a.is_zero)
         assert not Scalar.zero(D)
-        assert Scalar.one(D).times_h(D)
+        assert Scalar.from_hseries(HSeries.h(D, D))
 
     def test_non_unit_inverse_raises(self):
-        s = Scalar.one(D).times_h()
+        s = Scalar.from_hseries(HSeries.h(D))
         with pytest.raises(NonUnitError):
             s.inv()
 
@@ -76,7 +76,7 @@ class TestDerivative:
 
     def test_h_grading(self):
         w = Scalar.coordinate(D)
-        s = w * w + Scalar.one(D).times_h()
+        s = w * w + HSeries.h(D)
         assert s.diff() == w.scale(2)
 
 
@@ -175,7 +175,7 @@ class TestHGrading:
     def test_first_nonzero_grade(self):
         assert Scalar.zero(D).first_nonzero_grade() is None
         assert Scalar.one(D).first_nonzero_grade() == 0
-        assert Scalar.one(D).times_h().first_nonzero_grade() == 1
+        assert Scalar.from_hseries(HSeries.h(D)).first_nonzero_grade() == 1
 
 
 class TestMixedRing:

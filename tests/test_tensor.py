@@ -162,8 +162,8 @@ class TestInverse:
     def test_inverse_of_unit_matrix(self):
         w = Scalar.coordinate(D)
         ident = LegMatrix.identity(LegShape([2, 2]), D)
-        m = ident.mul_scalar(Scalar.one(D) + w.inv().times_h()) + sigma(
-        ).mul_scalar(w.times_h(2))
+        m = ident.mul_scalar(Scalar.one(D) + w.inv() * HSeries.h(D)) + sigma(
+        ).mul_scalar(w * HSeries.h(D, 2))
         assert m * m.inv() == ident
         assert m.inv() * m == ident
 
@@ -191,7 +191,7 @@ class TestInverse:
         monkeypatch.setattr(Elimination, "__init__", counting)
         w = Scalar.coordinate(D)
         ident = LegMatrix.identity(LegShape([2, 2]), D)
-        (ident + sigma().mul_scalar(w.times_h())).inv()
+        (ident + sigma().mul_scalar(w * HSeries.h(D))).inv()
         assert calls == [4]
 
 
