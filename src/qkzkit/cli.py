@@ -1,7 +1,8 @@
 """Command-line entry point: run verification suites from a JSON config.
 
 Exit codes: 0 all checks exact, 1 at least one check failed, 2 config
-error (unparsable, unknown fields, unsupported family), 3 internal error.
+error (unparsable, unknown fields, unsupported family), 3 internal error
+(a normalization that fails included).
 """
 
 from __future__ import annotations
@@ -20,6 +21,8 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_INTERNAL = 3
+
+CONFIG_ERRORS = (KernelError, KeyError, ValueError, OSError, json.JSONDecodeError)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -41,10 +44,9 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def collect_specs(cfg: RunConfig, F, suite: str):
-    rows = suite_rows(suite)
-    nf = load_normalized(F) if any(on_nf for _, on_nf, _ in rows) else None
-    return [spec for _, _, build in rows for spec in build(F, nf, cfg)]
+def _fail(code: int, message: str) -> int:
+    print(message, file=sys.stderr)
+    return code
 
 
 def run(argv=None) -> int:
@@ -56,11 +58,21 @@ def run(argv=None) -> int:
         F = family_from_descriptor(
             {"family": cfg.family, "N": cfg.N, "D": cfg.D}
         )
-        specs = collect_specs(cfg, F, cfg.suite)
-    except (KernelError, KeyError, ValueError, OSError,
-            json.JSONDecodeError) as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
+        rows = suite_rows(cfg.suite)
+    except CONFIG_ERRORS as e:
+        return _fail(EXIT_CONFIG, f"config error: {e}")
+
+    try:
+        # a normalization that fails is a kernel fault, not a config error
+        nf = load_normalized(F) if any(on_nf for _, on_nf, _ in rows) else None
+    except Exception as e:
+        return _fail(EXIT_INTERNAL, f"internal error: {e!r}")
+
+    try:
+        # the rows decode their instances against the normalized family
+        specs = [spec for _, _, build in rows for spec in build(F, nf, cfg)]
+    except CONFIG_ERRORS as e:
+        return _fail(EXIT_CONFIG, f"config error: {e}")
 
     try:
         results = run_checks(specs)
@@ -70,8 +82,7 @@ def run(argv=None) -> int:
                 json.dump(report, f, indent=2)
         print(summary_text(results))
     except Exception as e:  # anything past config parsing is internal
-        print(f"internal error: {e!r}", file=sys.stderr)
-        return EXIT_INTERNAL
+        return _fail(EXIT_INTERNAL, f"internal error: {e!r}")
     return EXIT_OK if report["passed"] else EXIT_CHECK_FAILED
 
 

@@ -305,16 +305,6 @@ class LegMatrix:
                 out[r] = out[r] + v * vec[c]
         return out
 
-    def apply_grade(self, m: int, vec) -> list:
-        """The m-th h-grade applied to a vector of RatFns, visiting only
-        the nonzero entries."""
-        out = [RF_ZERO] * self.shape.total
-        for (r, c), v in self.entries.items():
-            x, y = v.grades[m], vec[c]
-            if x and y:
-                out[r] = out[r] + x * y
-        return out
-
     def __repr__(self):
         return f"LegMatrix({self.shape!r}, nnz={len(self.entries)})"
 

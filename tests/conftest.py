@@ -39,11 +39,6 @@ def nf_rat3(rat3):
 
 
 @pytest.fixture(scope="session")
-def nf_rat4(rat4):
-    return normalize(rat4)
-
-
-@pytest.fixture(scope="session")
 def nf_trig(trig):
     return normalize(trig)
 

@@ -2,12 +2,17 @@ import json
 
 import pytest
 
+from qkzkit import qdet
+from qkzkit.cache import cache_dir
 from qkzkit.cli import (
     EXIT_CHECK_FAILED,
     EXIT_CONFIG,
+    EXIT_INTERNAL,
     EXIT_OK,
     run,
 )
+from qkzkit.errors import LiftFailure
+from qkzkit.scalar import Scalar
 
 
 def write_cfg(tmp_path, name, **overrides):
@@ -216,6 +221,49 @@ class TestExitCodes:
         assert run(["--config", cfg]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "Traceback" not in err
+
+
+class TestNormalizationFailure:
+    """A normalization that fails is an internal error (exit 3); a bad
+    config read after a normalization that worked is still exit 2."""
+
+    def test_lift_failure_is_internal_error(self, tmp_path, capsys, monkeypatch):
+        # used to print "config error: ..." and exit 2
+        def failing(F):
+            raise LiftFailure("eigen-equation residual is nonzero")
+
+        monkeypatch.setattr(qdet, "find_qdet_vector", failing)
+        cfg = write_cfg(tmp_path, "lift.json", suite="normalize")
+        assert run(["--config", cfg]) == EXIT_INTERNAL
+        err = capsys.readouterr().err
+        assert err.startswith("internal error:")
+        assert "eigen-equation residual is nonzero" in err
+
+    def test_rescaling_failure_is_internal_error(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(
+            qdet.NormalizedFamily, "normalized_rho",
+            lambda self: Scalar.zero(self.D, self.mode),
+        )
+        cfg = write_cfg(tmp_path, "rho.json", suite="normalize")
+        assert run(["--config", cfg]) == EXIT_INTERNAL
+        err = capsys.readouterr().err
+        assert err.startswith("internal error:")
+        assert "rescaled determinant scalar is not 1" in err
+
+    def test_bad_instance_after_normalization_is_config_error(
+        self, tmp_path, capsys
+    ):
+        # the instance is decoded against the normalized family, which is
+        # computed (and cached) first
+        cfg = write_cfg(tmp_path, "inst.json", suite="qkz", instances=[
+            {"points": ["0", "0"], "words": [{"factors": ["0"]}] * 2},
+        ])
+        assert run(["--config", cfg]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "distinct h^0 parts" in err
+        assert len(list(cache_dir().glob("*.json"))) == 1
 
 
 class TestReports:

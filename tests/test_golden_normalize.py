@@ -1,7 +1,9 @@
 """Golden normalization data: the determinant eigenvalue, its coefficient
-vector, rho and f0 for rational N=3, rational N=4 and trigonometric N=2 at
-D=4 must stay identical to the committed files, written in the cache's
-exact text format.
+vector, rho and f0 must stay identical to the committed files, written in
+the cache's exact text format.  The cases are rational N=3, rational N=4
+and trigonometric N=2 at D=4, and the grade lift's edges: rational N=2 at
+D=1 (no grade is solved), rational N=3 at D=2 (one grade) and
+trigonometric N=2 at D=6.
 
 A change to the elimination or to the grade lift that alters any of these
 shows up here.  To regenerate after an intended change:
@@ -15,15 +17,20 @@ from pathlib import Path
 
 import pytest
 
+from qkzkit.families import build_rational, build_trigonometric
+from qkzkit.qdet import normalize
 from qkzkit.serialize import scalar_to_list
 
 GOLDEN = Path(__file__).parent / "golden"
 
-#: golden file stem -> conftest fixture of the normalized family
+#: golden file stem -> the family it normalizes
 CASES = {
-    "normalize-rational-N3-D4": "nf_rat3",
-    "normalize-rational-N4-D4": "nf_rat4",
-    "normalize-trigonometric-N2-D4": "nf_trig",
+    "normalize-rational-N2-D1": lambda: build_rational(2, 1),
+    "normalize-rational-N3-D2": lambda: build_rational(3, 2),
+    "normalize-rational-N3-D4": lambda: build_rational(3, 4),
+    "normalize-rational-N4-D4": lambda: build_rational(4, 4),
+    "normalize-trigonometric-N2-D4": lambda: build_trigonometric(2, 4),
+    "normalize-trigonometric-N2-D6": lambda: build_trigonometric(2, 6),
 }
 
 
@@ -45,22 +52,14 @@ def normalization_text(nf) -> str:
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_normalization_matches_golden(name, request):
-    nf = request.getfixturevalue(CASES[name])
+def test_normalization_matches_golden(name):
+    nf = normalize(CASES[name]())
     assert normalization_text(nf) == (GOLDEN / f"{name}.json").read_text()
 
 
 if __name__ == "__main__":
-    from qkzkit.families import build_rational, build_trigonometric
-    from qkzkit.qdet import normalize
-
-    families = {
-        "normalize-rational-N3-D4": lambda: build_rational(3, 4),
-        "normalize-rational-N4-D4": lambda: build_rational(4, 4),
-        "normalize-trigonometric-N2-D4": lambda: build_trigonometric(2, 4),
-    }
     GOLDEN.mkdir(exist_ok=True)
-    for name, build in families.items():
+    for name, build in CASES.items():
         text = normalization_text(normalize(build()))
         (GOLDEN / f"{name}.json").write_text(text)
         print(f"wrote {name}", file=sys.stderr)

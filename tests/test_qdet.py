@@ -5,11 +5,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fraction_poly import euclid_lcm, pdivmod, primitive
-from qkzkit.errors import NonUnitError, ShapeMismatch
-from qkzkit.families import ArgShift, build_rational, shift_scalar
+from lift_oracle import dense_lift, scalar_residual
+from planting import planted
+from qkzkit.errors import LiftFailure, NonUnitError, ShapeMismatch
+from qkzkit.families import (
+    ArgShift,
+    build_rational,
+    build_trigonometric,
+    shift_scalar,
+)
 from qkzkit.hseries import HSeries
 from qkzkit.qdet import (
     NormalizedFamily,
+    QDetData,
     _perm_sign,
     check_pairing_control,
     check_pairing_qdet,
@@ -76,6 +84,103 @@ class TestEigenvector:
         monkeypatch.setattr(Elimination, "__init__", counting)
         find_qdet_vector(rat3)
         assert calls == [3 ** 3 + 1]
+
+
+class TestLiftOracle:
+    """find_qdet_vector against the dense RatFn lift and the eigen-equation
+    residual over Scalars (tests/lift_oracle.py)."""
+
+    @pytest.mark.parametrize("name", ["rat2", "rat3", "rat4", "trig"])
+    def test_scalar_residual_holds(self, name, request):
+        F = request.getfixturevalue(name)
+        qd = find_qdet_vector(F)
+        assert scalar_residual(F, qd) is None
+        dense = dense_lift(F)
+        assert list(qd.coeffs.items()) == list(dense.coeffs.items())
+        assert qd.eigenvalue == dense.eigenvalue
+
+    def test_scalar_residual_sees_a_wrong_eigenvalue(self, rat2):
+        qd = find_qdet_vector(rat2)
+        grades = [RF_ZERO] * rat2.D + [RF_ONE]
+        bad = QDetData(qd.shifts, qd.coeffs, qd.eigenvalue + Scalar(grades))
+        assert scalar_residual(rat2, bad) == (0, 0)
+
+    def test_lift_applies_no_operator(self, rat3, monkeypatch):
+        # the residual reads the sparse grade tables, not LegMatrix.apply
+        # over Scalars
+        calls = []
+        apply = LegMatrix.apply
+
+        def counting(self, vec):
+            calls.append(1)
+            return apply(self, vec)
+
+        monkeypatch.setattr(LegMatrix, "apply", counting)
+        find_qdet_vector(rat3)
+        assert calls == []
+
+
+class TestLiftGuards:
+    """Each guard of find_qdet_vector fires on a planted fault."""
+
+    @pytest.mark.parametrize("build", [build_rational, build_trigonometric])
+    def test_perturbed_solution_leaves_a_residual(self, build, monkeypatch):
+        # the eigenvalue of the last grade moved by 1: no later grade reads
+        # it, so only the final residual check can see it
+        F = build(2, 4)
+        solve = Elimination.solve
+        calls = []
+
+        def perturbed(self, rhs):
+            sol = solve(self, rhs)
+            calls.append(1)
+            if len(calls) == F.D - 1:
+                sol[-1] = sol[-1] + RF_ONE
+            return sol
+
+        monkeypatch.setattr(Elimination, "solve", perturbed)
+        with pytest.raises(LiftFailure, match="eigen-equation residual is nonzero"):
+            find_qdet_vector(F)
+        assert len(calls) == F.D - 1
+
+    def test_grade_zero_fault_leaves_a_residual(self):
+        # at D = 0 there is no h^1 test and no grade to solve; the residual
+        # still covers the grade-0 ladder
+        F = planted(build_rational(2, 0), 0)
+        with pytest.raises(LiftFailure, match="eigen-equation residual is nonzero"):
+            find_qdet_vector(F)
+
+    def test_inconsistent_right_hand_side(self, monkeypatch):
+        # 1 added at a row that reduces to zero: the replayed right-hand
+        # side is nonzero there
+        solve = Elimination.solve
+
+        def inconsistent(self, rhs):
+            pivot_rows = {p for _, p in self.pivots}
+            free = min(set(range(len(self.rows))) - pivot_rows)
+            rhs = list(rhs)
+            rhs[free] = rhs[free] + RF_ONE
+            return solve(self, rhs)
+
+        monkeypatch.setattr(Elimination, "solve", inconsistent)
+        with pytest.raises(LiftFailure, match="no eigenvector correction at h-grade 2"):
+            find_qdet_vector(build_rational(2, 4))
+
+    @pytest.mark.parametrize("grade", [2, 3])
+    @pytest.mark.parametrize("build", [build_rational, build_trigonometric])
+    def test_planted_fault_has_no_correction(self, build, grade):
+        # R + h^grade E: the grade-grade equations have no solution
+        F = planted(build(2, 4), grade)
+        match = f"no eigenvector correction at h-grade {grade}"
+        with pytest.raises(LiftFailure, match=match):
+            find_qdet_vector(F)
+
+    @pytest.mark.parametrize("build", [build_rational, build_trigonometric])
+    def test_grade_one_fault_fails_the_h1_test(self, build):
+        F = planted(build(2, 4), 1)
+        match = "h\\^1 ladder action does not fix the antisymmetrizer"
+        with pytest.raises(LiftFailure, match=match):
+            find_qdet_vector(F)
 
 
 class TestRho:
