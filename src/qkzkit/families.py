@@ -10,11 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
 
 from .errors import KernelError, PoleError
-from .hseries import HSeries, series_inv, series_mul
-from .ratfn import RF_ONE, RF_ZERO, RatFn, pmul, ptrim
+from .hseries import HSeries
+from .ratfn import RF_ONE, RF_ZERO, RatFn, pmul
 from .scalar import ADDITIVE, MULTIPLICATIVE, Point, Scalar
 from .tensor import LegMatrix, LegShape, least_grade
 
@@ -389,69 +388,34 @@ def check_classical_ybe(F: RMatrixFamily, samples=None):
 
 # -- trigonometric -> rational degeneration ----------------------------
 
-def _poly_at_series(p, e, L):
-    """Evaluate a Fraction-coefficient polynomial at an RatFn series."""
-    acc = [RF_ZERO] * L
-    for c in reversed(p if p else (Fraction(0),)):
-        acc = series_mul(acc, e, RF_ZERO)
-        acc[0] = acc[0] + RatFn.from_fraction(c)
-    return acc
-
-
-def _laurent_quotient(num, den, L):
-    """(valuation, coeffs) of num/den as a Laurent series in s."""
-    vn = next((i for i, c in enumerate(num) if c), None)
-    vd = next((i for i, c in enumerate(den) if c), None)
-    if vd is None:
-        raise ZeroDivisionError("zero denominator series")
-    if vn is None:
-        return 0, [RF_ZERO] * L
-    den_unit = den[vd:] + [RF_ZERO] * vd
-    q = series_mul(
-        num[vn:] + [RF_ZERO] * vn,
-        series_inv(den_unit, den_unit[0].inv(), RF_ZERO),
-        RF_ZERO,
-    )
-    return vn - vd, q
-
-
 def degeneration_limit(F: RMatrixFamily) -> LegMatrix:
     """Leading s-grade of R under (u, h) -> (s*u, s*h), as an additive-mode
-    matrix in u; raises if any negative s-power survives."""
+    matrix in u; raises if any negative s-power survives.
+
+    The coordinate becomes w = exp(c*s*u) = 1 + x with x = c*s*u*(1 + O(s)),
+    c = hshift_scale.  A grade-m coefficient g(1 + x) = a*x^v*(1 + O(x)),
+    a != 0, puts s^(m + v) in front of h^m: a pole when v < -m, nothing in
+    the limit when v > -m, and a*c^-m/u^m at grade m when v = -m.
+    """
     if F.family != TRIGONOMETRIC:
         raise KernelError("degeneration check applies to the trigonometric family")
-    D = F.D
-    L = 2 * D + 8
-    # the coordinate at (s*u, s*h) is exp(hshift_scale * s * u): an s-series
-    # with RatFn(u) coefficients
     c = F.hshift_scale
-    e = [
-        RatFn(ptrim([Fraction(0)] * j + [Fraction(c**j, factorial(j))]))
-        for j in range(L)
-    ]
     entries: dict = {}
-    for (rc, cc), v in F.base.entries.items():
-        grades_out = [RF_ZERO] * (D + 1)
+    for key, v in F.base.entries.items():
+        limit = [RF_ZERO] * (F.D + 1)
         for m, g in enumerate(v.grades):
             if g.is_zero:
                 continue
-            num = _poly_at_series(g.num, e, L)
-            den = _poly_at_series(g.den, e, L)
-            val, q = _laurent_quotient(num, den, L)
-            # total s-exponent of q[j] h^m is m + val + j
-            for j, c in enumerate(q):
-                tot = m + val + j
-                if tot > 0 or c.is_zero:
-                    continue
-                if tot < 0:
-                    raise KernelError(
-                        f"degeneration has a pole in s at entry {(rc, cc)}"
-                    )
-                grades_out[m] = grades_out[m] + c
-        sc = Scalar(grades_out, ADDITIVE)
-        if not sc.is_zero:
-            entries[(rc, cc)] = sc
-    return LegMatrix(LegShape([F.N, F.N]), entries, D, ADDITIVE)
+            t = g.shift_arg(1)  # (p/q) n(x)/d(x), n and d primitive
+            vn = next(i for i, k in enumerate(t.n) if k)
+            vd = next(i for i, k in enumerate(t.d) if k)
+            if vn - vd < -m:
+                raise KernelError(f"degeneration has a pole in s at entry {key}")
+            if vn - vd == -m:
+                a = Fraction(t.p * t.n[vn], t.q * t.d[vd])
+                limit[m] = RatFn((a / c**m,), (0,) * m + (1,))
+        entries[key] = Scalar(limit, ADDITIVE)
+    return LegMatrix(LegShape([F.N, F.N]), entries, F.D, ADDITIVE)
 
 
 def check_degeneration(F_trig: RMatrixFamily):

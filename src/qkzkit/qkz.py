@@ -164,7 +164,10 @@ def check_braiding_equivariance(inst: QKZInstance, i: int):
     beta_{n-1,n} ... beta_{i,i+1}, where each beta swaps the block holding
     V^i one step to the right and z' carries z_i to the last slot.
 
-    Returns the first nonzero grade of the difference, or None.
+    Returns the first nonzero grade of C_left nabla_i(z) - nabla_n(z')
+    C_right, C the braiding products, or None.  That is the difference
+    times C_left, whose h^0 grade (a product of h^0 braidings) is a
+    permutation, so the first nonzero grade is kept with no inverse taken.
     """
     nf = inst.nf
     n = inst.n
@@ -193,8 +196,8 @@ def check_braiding_equivariance(inst: QKZInstance, i: int):
     )
     conj_left, _ = conjugator(stepped)
     conj_right, cur = conjugator(inst)
-    rhs = conj_left.inv() * build_nabla(cur, n) * conj_right
-    return (build_nabla(inst, i) - rhs).first_nonzero_grade()
+    lhs = conj_left * build_nabla(inst, i)
+    return (lhs - build_nabla(cur, n) * conj_right).first_nonzero_grade()
 
 
 def quasiclassical_limit(inst: QKZInstance, i: int) -> LegMatrix:

@@ -65,7 +65,7 @@ def dict_to_word(d: dict, D: int):
     extra = set(_typed("word", d, dict)) - {"factors"}
     if extra:
         raise KernelError(f"unknown word fields: {sorted(extra)}")
-    factors = _typed("factors", d["factors"], list)
+    factors = _field(d, "factors", list, "word")
     return ComoduleWord(tuple(str_to_argshift(t, D) for t in factors))
 
 
@@ -85,6 +85,13 @@ def _typed(name: str, value, kind):
     if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
         raise KernelError(f"{name} must be {_TYPE_NAMES[kind]}, got {value!r}")
     return value
+
+
+def _field(d: dict, name: str, kind, owner: str):
+    """d[name], which must be present and of the JSON type kind."""
+    if name not in d:
+        raise KernelError(f"{owner} has no {name!r} field")
+    return _typed(name, d[name], kind)
 
 
 class RunConfig:
@@ -160,9 +167,9 @@ class RunConfig:
 
 
 def decode_instance(d: dict, nf, D: int):
-    points = _typed("points", d["points"], list)
+    points = _field(d, "points", list, "instance")
     points = tuple(str_to_argshift(t, D) for t in points)
-    words = tuple(dict_to_word(w, D) for w in _typed("words", d["words"], list))
+    words = tuple(dict_to_word(w, D) for w in _field(d, "words", list, "instance"))
     if not points:
         raise KernelError("an instance needs at least one point")
     if any(len(w) == 0 for w in words):

@@ -156,6 +156,20 @@ class TestExitCodes:
         assert run(["--config", cfg]) == EXIT_CONFIG
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("instance, message", [
+        ({"words": [{"factors": ["0"]}]}, "instance has no 'points' field"),
+        ({"points": ["0"]}, "instance has no 'words' field"),
+        ({"points": ["0"], "words": [{}]}, "word has no 'factors' field"),
+    ], ids=["points", "words", "factors"])
+    def test_missing_instance_field_is_named(
+        self, tmp_path, capsys, instance, message
+    ):
+        # these used to exit 2 with a bare KeyError text such as 'points'
+        cfg = write_cfg(tmp_path, "missing.json", suite="qkz",
+                        instances=[instance])
+        assert run(["--config", cfg]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
     @pytest.mark.parametrize("family, points, factor", [
         ("rational", ["0", "0"], "0"),
         ("rational", ["0", "1", "1,1/2,0"], "0"),

@@ -1,8 +1,10 @@
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from degeneration_oracle import series_limit
 from planting import planted
 
 from qkzkit.errors import KernelError, PoleError
@@ -16,6 +18,7 @@ from qkzkit.families import (
     check_qybe,
     check_unitarity,
     default_samples,
+    degeneration_limit,
     displaced,
     family_from_descriptor,
     shift_add,
@@ -23,9 +26,10 @@ from qkzkit.families import (
     unitarity_scalar,
 )
 from qkzkit.hseries import HSeries
-from qkzkit.ratfn import RatFn
+from qkzkit.ratfn import RF_ZERO, RatFn
 from qkzkit.scalar import ADDITIVE, MULTIPLICATIVE, Scalar
 from qkzkit.suites import run_checks, suite_crossing
+from qkzkit.tensor import LegMatrix
 
 
 small = st.fractions(min_value=-5, max_value=5, max_denominator=4)
@@ -178,6 +182,34 @@ class TestCrossingAndUnitarity:
         assert phi.grades[0] == RatFn.from_fraction(1)
 
 
+W_MINUS_1 = RatFn((-1, 1))
+#: RatFns that are units at w = 1: 2 + w, 1/(3 + w^2), 1/w, and 7/2
+UNITS = [RatFn((2, 1)), RatFn((1,), (3, 0, 1)), RatFn((1,), (0, 1)),
+         RatFn.from_fraction(Fraction(7, 2))]
+
+
+def w_minus_1_power(e: int) -> RatFn:
+    """(w - 1)^e for an integer e."""
+    out = RatFn.from_fraction(1)
+    for _ in range(abs(e)):
+        out = out * W_MINUS_1
+    return out if e >= 0 else out.inv()
+
+
+def entry_matrix(F, entry: dict) -> LegMatrix:
+    """The matrix on F's legs with {(row, col): {grade: RatFn}} entries."""
+    def scalar(by_grade):
+        return Scalar([by_grade.get(m, RF_ZERO) for m in range(F.D + 1)], F.mode)
+    return LegMatrix(F.shape, {k: scalar(v) for k, v in entry.items()}, F.D, F.mode)
+
+
+def limit_or_error(limit, F):
+    try:
+        return limit(F)
+    except KernelError as e:
+        return str(e)
+
+
 class TestDegeneration:
     def test_trig_degenerates_to_rational(self, trig):
         assert check_degeneration(trig) is None
@@ -185,6 +217,74 @@ class TestDegeneration:
     def test_rational_family_rejected(self, rat2):
         with pytest.raises(KernelError):
             check_degeneration(rat2)
+
+    @pytest.mark.parametrize("D", range(9))
+    def test_matches_the_series_expansion_on_the_base(self, D):
+        F = build_trigonometric(2, D)
+        assert degeneration_limit(F) == series_limit(F)
+
+    @pytest.mark.parametrize("m", range(5))
+    def test_matches_the_series_expansion_on_planted_entries(self, m):
+        # k (w - 1)^e u(w) at grade m, u a unit at w = 1: s^(m + e) in front
+        # of h^m, a pole for e < -m, the limit's grade m for e = -m and
+        # nothing for e > -m; the oracle raises the same pole message
+        F = build_trigonometric(2, 4)
+        for e in range(-m - 2, 3):
+            for k, u in enumerate(UNITS, start=1):
+                g = w_minus_1_power(e) * u.scale(Fraction(k, 3))
+                F._base = entry_matrix(F, {(1, 2): {m: g}, (3, 3): {0: u}})
+                got = limit_or_error(degeneration_limit, F)
+                assert got == limit_or_error(series_limit, F)
+                if e < -m:
+                    assert got == "degeneration has a pole in s at entry (1, 2)"
+                else:
+                    assert (got.get(1, 2).grades[m] == RF_ZERO) == (e > -m)
+
+    def test_first_pole_in_entry_order_is_reported(self):
+        F = build_trigonometric(2, 3)
+        F._base = entry_matrix(F, {
+            (0, 0): {1: w_minus_1_power(-1)},
+            (0, 3): {2: w_minus_1_power(-3), 0: UNITS[0]},
+            (2, 1): {0: w_minus_1_power(-1)},
+        })
+        want = "degeneration has a pole in s at entry (0, 3)"
+        assert limit_or_error(degeneration_limit, F) == want
+        assert limit_or_error(series_limit, F) == want
+
+    @pytest.mark.parametrize("g", range(5))
+    @pytest.mark.parametrize("k", [1, Fraction(-5, 3)])
+    def test_planted_pole_of_order_g_fails_at_grade_g(self, g, k):
+        # k/(w - 1)^g h^g scales to k 2^g/u^g h^g, which the rational
+        # family lacks
+        F = build_trigonometric(2, 4)
+        fault = entry_matrix(F, {(0, 1): {g: w_minus_1_power(-g).scale(k)}})
+        F._base = F.base + fault
+        assert check_degeneration(F) == g
+
+    @pytest.mark.parametrize("g", range(1, 5))
+    def test_planted_constant_fault_is_invisible(self, g):
+        # h^g E with E constant becomes s^g h^g E under the scaling, which
+        # vanishes in the limit: this row cannot see a constant fault
+        assert check_degeneration(planted(build_trigonometric(2, 4), g)) is None
+
+    @pytest.mark.parametrize("g", range(5))
+    def test_planted_pole_of_order_g_plus_1_raises(self, g):
+        F = build_trigonometric(2, 4)
+        F._base = F.base + entry_matrix(F, {(2, 1): {g: w_minus_1_power(-g - 1)}})
+        with pytest.raises(KernelError, match=r"pole in s at entry \(2, 1\)"):
+            check_degeneration(F)
+
+    def test_deep_pole_at_d0_raises_the_pole_error(self):
+        # the 8-term series of the expansion reads (w - 1)^8 as zero at
+        # D = 0; the closed form has no cutoff
+        F = build_trigonometric(2, 0)
+        F._base = F.base + entry_matrix(F, {(0, 0): {0: w_minus_1_power(-8)}})
+        with pytest.raises(ZeroDivisionError):
+            series_limit(F)
+        want = "degeneration has a pole in s at entry (0, 0)"
+        assert limit_or_error(partial(series_limit, L=16), F) == want
+        with pytest.raises(KernelError, match=r"pole in s at entry \(0, 0\)"):
+            check_degeneration(F)
 
 
 class TestSharedTaylorChain:

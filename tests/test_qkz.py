@@ -196,6 +196,18 @@ class TestEquivariance:
         for i in range(1, 4):
             assert check_braiding_equivariance(inst, i) is None
 
+    @pytest.mark.parametrize("name", ["nf_rat2", "nf_rat3", "nf_trig"])
+    @pytest.mark.parametrize("g", [1, 2, 3, 4])
+    def test_planted_fault_reports_its_grade(self, name, g, request):
+        # Rbar + h^g E: below index n the two sides first differ at g + 1,
+        # where E meets the classical r (past D = 4 when g = 4); index n
+        # has nothing to conjugate
+        inst = make_instance(planted_nf(request.getfixturevalue(name), g), 3)
+        want = g + 1 if g + 1 <= inst.nf.D else None
+        assert [check_braiding_equivariance(inst, i) for i in (1, 2, 3)] == [
+            want, want, None,
+        ]
+
 
 class TestQuasiclassical:
     @pytest.mark.parametrize("name", ["nf_rat2", "nf_trig"])
