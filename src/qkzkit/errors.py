@@ -30,4 +30,6 @@ class SingularMatrix(KernelError):
 
 
 class LiftFailure(KernelError):
-    """A grade-by-grade linear lift has no solution (rank drop between grades)."""
+    """A grade-by-grade equation fails: the antisymmetrizer is not an
+    eigenvector of the determinant ladder at some h-grade, or the
+    normalizing scalar does not satisfy its product equation."""

@@ -1,17 +1,16 @@
 """Quantum determinant data and the normalizing scalar for an R-matrix family.
 
-The pipeline: find the deformed antisymmetrizer (a rank-one eigenvector of
-the N-fold ladder of R-factors), read off its coefficient vector C and the
-ladder shifts, evaluate the determinant element in the vector representation
-to get the scalar rho, solve the product functional equation for the
-normalizing unit f0, and rescale R so that the determinant acts as 1.
+The pipeline: check that the classical antisymmetrizer is an eigenvector of
+the N-fold ladder of R-factors at every h-grade (its coefficient vector C),
+take the ladder shifts, evaluate the determinant element in the vector
+representation to get the scalar rho, solve the product functional
+equation for the normalizing unit f0, and rescale R so that the
+determinant acts as 1.
 
-The eigenvector is lifted grade by grade in h over sparse tables: each
-grade v_q is a {coordinate: RatFn}, and each product of an aux block of the
-ladder's grade p with v_q is computed once, when v_q is known, into the
-table of grade p + q.  The h^1 test, the right-hand side of every grade
-equation and the final residual check (every block, every grade 0..D) read
-those tables; no step goes through Scalar arithmetic.
+The antisymmetrizer is checked grade by grade over sparse tables: one pass
+over the ladder's entries at its support gives, for every aux block and
+every grade, the block's product with it as {coordinate: RatFn}; no step
+goes through Scalar arithmetic.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ from .families import (
 from .hseries import HSeries
 from .ratfn import RF_ONE, RF_ZERO, RatFn
 from .scalar import Scalar
-from .tensor import Elimination, LegMatrix, LegShape, certified_grade
+from .tensor import LegMatrix, LegShape, certified_grade
 
 
 def ladder_shifts(N: int, D: int) -> list[HSeries]:
@@ -91,26 +90,20 @@ def aux_blocks(m: LegMatrix) -> dict:
 
 
 def find_qdet_vector(F: RMatrixFamily) -> QDetData:
-    """Deformed antisymmetrizer for the N-fold ladder of R-factors.
+    """The classical antisymmetrizer, checked as the determinant vector.
 
     Builds M = R^{0,1}(w + s_1) ... R^{0,N}(w + s_N) on legs [N]^(N+1)
-    (leg 1 auxiliary) and solves M (xi (x) v) = lam (xi (x) v) grade by
-    grade in h, starting from the classical antisymmetrizer at h^0: with
-    M^{ab} the (a, b) aux block of M and M_p its h^p grade,
-    sum_{p+q=g} M^{ab}_p v_q = delta_ab sum_p lam_p v_{g-p} for every g.
+    (leg 1 auxiliary).  At the ladder shifts the fused product maps
+    aux (x) Lambda^N to itself by a scalar (Kulish, Reshetikhin and
+    Sklyanin 1981), so the antisymmetrizer v0 (permutation signs, pivot
+    coefficient 1) needs no h-correction: with M^{ab}_p the h^p grade of
+    the (a, b) aux block, M^{ab}_p v0 = delta_ab lam_p v0 for every p <= D.
 
-    Each level v_q is a sparse {coordinate: RatFn}.  The ladder's entries
-    are split by aux block and column once.  As soon as v_q is known, one
-    pass over the entries at its nonzero coordinates adds M^{ab}_p v_q, for
-    every block and every p <= D - q, to the sparse table of grade p + q,
-    so each product is computed once.  The h^1 test reads the grade-1
-    table after v_0.  When grade g is solved (for v_{g-1} and lam_g), its
-    table holds exactly the products with p >= 2: that is the right-hand
-    side, replayed through the one elimination of the left-hand side (the
-    grade-1 ladder, lam_1 and v_0), which is the same at every grade.
-    Once every level is in, the final check compares every table with
-    delta_ab sum_p lam_p v_{g-p}, for every block and every grade 0..D,
-    the grade-0 ladder included: the lift is verified exactly to order D.
+    One pass over the ladder's entries at the columns of v0's support
+    builds the sparse table of M^{ab}_p v0 for every block and grade.
+    lam_0 is pinned to 1, lam_p is read at the pivot of block (0, 0), and
+    every table is compared exactly with delta_ab lam_p v0: the equation
+    is verified to order D, and the first grade where it fails is named.
     """
     N, D = F.N, F.D
     shifts = ladder_shifts(N, D)
@@ -118,103 +111,41 @@ def find_qdet_vector(F: RMatrixFamily) -> QDetData:
 
     vshape = LegShape([N] * N)
     T = vshape.total
-    # the unknowns' equations: block (a, b) owns rows (a N + b) T + r, in
-    # the sorted block order; by_col[c] lists (row, grades) of the ladder
-    # entries in column c of their block
-    diag = [(a * N + a) * T for a in range(N)]
-    by_col = [[] for _ in range(T)]
-    for (r, c), s in m.entries.items():
-        a, r = divmod(r, T)
-        b, c = divmod(c, T)
-        by_col[c].append(((a * N + b) * T + r, s.grades))
-
-    # table[g]: sum of M_p v_q over the levels absorbed so far, p + q = g
-    table = [{} for _ in range(D + 1)]
-
-    def absorb(q, v):
-        """Add M_p v for every p <= D - q to the tables, v the level q."""
-        for c, y in v.items():
-            for row, grades in by_col[c]:
-                for p in range(D - q + 1):
-                    x = grades[p]
-                    if x:
-                        t = table[q + p]
-                        z = t.get(row)
-                        z = x * y if z is None else z + x * y
-                        if z:
-                            t[row] = z
-                        else:
-                            del t[row]
-
-    def on_diagonal(terms):
-        """sum of lam_p v_q over the (p, q) terms, on every diagonal block."""
-        s = {}
-        for p, q in terms:
-            for r, y in levels[q].items():
-                s[r] = s[r] + lam[p] * y if r in s else lam[p] * y
-        return {d + r: y for d in diag for r, y in s.items() if y}
-
-    # h^0: the classical antisymmetrizer, lead coefficient pinned to 1
     v0 = {
         vshape.ravel(p): RatFn.from_fraction(_perm_sign(p))
         for p in permutations(range(N))
     }
     pivot = vshape.ravel(tuple(range(N)))
-    lam = [RF_ONE]
-    levels = [v0]
-    absorb(0, v0)
-    if D >= 1:
-        # h^1 pins the eigenvalue and must hold with no v-correction:
-        # off-diagonal blocks kill v0, diagonal blocks scale it
-        lam.append(table[1].get(pivot, RF_ZERO))
-        if table[1] != on_diagonal([(1, 0)]):
-            raise LiftFailure("h^1 ladder action does not fix the antisymmetrizer")
 
-    if D >= 2:
-        # unknowns: the T coordinates of v_{g-1}, then lam_g
-        rows = [{} for _ in range(N * N * T)]
-        for c, entries in enumerate(by_col):
-            for row, grades in entries:
-                if grades[1]:
-                    rows[row][c] = grades[1]
-        for d in diag:
-            for r in range(T):
-                row = rows[d + r]
-                x = row.pop(r, RF_ZERO) - lam[1]
-                if x:
-                    row[r] = x
-                if r in v0:
-                    row[T] = -v0[r]
-        rows.append({pivot: RF_ONE})
-        lift = Elimination(rows, T + 1)
+    # table[p]: M^{ab}_p v0, block (a, b) at rows (a N + b) T + r
+    table = [{} for _ in range(D + 1)]
+    for (r, c), s in m.entries.items():
+        b, c = divmod(c, T)
+        y = v0.get(c)
+        if y is None:
+            continue
+        a, r = divmod(r, T)
+        row = (a * N + b) * T + r
+        for p, x in enumerate(s.grades):
+            if x:
+                z = table[p].get(row)
+                z = x * y if z is None else z + x * y
+                if z:
+                    table[p][row] = z
+                else:
+                    del table[p][row]
 
-        for g in range(2, D + 1):
-            rhs = [RF_ZERO] * len(rows)
-            for row, x in table[g].items():
-                rhs[row] = -x
-            for row, y in on_diagonal([(p, g - p) for p in range(2, g)]).items():
-                rhs[row] = rhs[row] + y
-            sol = lift.solve(rhs)
-            if sol is None:
-                raise LiftFailure(f"no eigenvector correction at h-grade {g}")
-            levels.append({c: x for c, x in enumerate(sol[:T]) if x})
-            lam.append(sol[T])
-            absorb(g - 1, levels[-1])
-
-    # the top v-grade is invisible to the truncated equations; pin it to 0
-    while len(levels) < D + 1:
-        levels.append({})
-    while len(lam) < D + 1:
-        lam.append(RF_ZERO)
-
-    # full residual check of the eigen-equation, exactly to order D
-    for g in range(D + 1):
-        if table[g] != on_diagonal([(p, g - p) for p in range(g + 1)]):
-            raise LiftFailure("eigen-equation residual is nonzero")
+    lam = [RF_ONE] + [table[p].get(pivot, RF_ZERO) for p in range(1, D + 1)]
+    for p, lp in enumerate(lam):
+        want = {(a * N + a) * T + r: lp * y for a in range(N) for r, y in v0.items()}
+        if table[p] != (want if lp else {}):
+            raise LiftFailure(
+                f"the antisymmetrizer is not an eigenvector at h-grade {p}"
+            )
 
     coeffs = {
-        vshape.unravel(flat): Scalar([v.get(flat, RF_ZERO) for v in levels], F.mode)
-        for flat in sorted(set().union(*levels))
+        vshape.unravel(flat): Scalar([y] + [RF_ZERO] * D, F.mode)
+        for flat, y in sorted(v0.items())
     }
     return QDetData(tuple(shifts), coeffs, Scalar(lam, F.mode))
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .errors import KernelError, ShapeMismatch
+from .errors import ShapeMismatch
 from .families import ArgShift
 from .hseries import HSeries
 from .qdet import NormalizedFamily
@@ -113,24 +113,22 @@ def build_nabla(inst: QKZInstance, i: int, z=None) -> LegMatrix:
     )
 
 
-def check_flatness(inst: QKZInstance, fault: str | None = None):
+def check_flatness(inst: QKZInstance, drop_step_shift: bool = False):
     """All pairwise flatness residuals
     nabla_j(z - kappa h e_i) nabla_i(z) - nabla_i(z - kappa h e_j) nabla_j(z)
     over index pairs i < j; returns the least first nonzero grade, or None.
 
-    fault="drop-step-shift" takes the outer factor of the right product at
-    z instead of the stepped point, leaving an uncancelled derivative term
-    at h-grade 2 (a control that must fail).
+    drop_step_shift takes the outer factor of the right product at z
+    instead of the stepped point, leaving an uncancelled derivative term at
+    h-grade 2 (the control of fault "drop-step-shift", which must fail).
     """
-    if fault is not None and fault not in FAULTS:
-        raise KernelError(f"unknown fault {fault!r}")
     kh = inst.kappa_h
     plain = {i: build_nabla(inst, i) for i in range(1, inst.n + 1)}
     grades = []
     for i in range(1, inst.n + 1):
         for j in range(i + 1, inst.n + 1):
             zi = _z_step(inst.z, i, kh)
-            zj = inst.z if fault == "drop-step-shift" else _z_step(inst.z, j, kh)
+            zj = inst.z if drop_step_shift else _z_step(inst.z, j, kh)
             lhs = build_nabla(inst, j, zi) * plain[i]
             rhs = build_nabla(inst, i, zj) * plain[j]
             grades.append((lhs - rhs).first_nonzero_grade())

@@ -2,7 +2,7 @@
 
 Formats are decimal-free: fractions are "p/q", polynomials "p/q*w^k + ...",
 rational functions "num / den", h-series "c0,c1,...".  A Scalar is the list
-of its grade strings; a LegMatrix is {dims, mode, D, entries}.
+of its grade strings.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from .qkz import FAULTS, QKZInstance
 from .ratfn import ratfn_to_str, str_to_ratfn
 from .reps import ComoduleWord
 from .scalar import ADDITIVE, MULTIPLICATIVE, Scalar
-from .tensor import LegMatrix, LegShape
 
 
 def scalar_to_list(s: Scalar) -> list:
@@ -25,28 +24,6 @@ def scalar_to_list(s: Scalar) -> list:
 
 def list_to_scalar(items, mode: str = ADDITIVE) -> Scalar:
     return Scalar([str_to_ratfn(t) for t in items], mode)
-
-
-def legmatrix_to_dict(m: LegMatrix) -> dict:
-    return {
-        "dims": list(m.shape.dims),
-        "mode": m.mode,
-        "D": m.D,
-        "entries": {
-            f"{r},{c}": scalar_to_list(v)
-            for (r, c), v in sorted(m.entries.items())
-        },
-    }
-
-
-def dict_to_legmatrix(d: dict) -> LegMatrix:
-    shape = LegShape(d["dims"])
-    mode = d["mode"]
-    entries = {}
-    for key, items in d["entries"].items():
-        r, c = (int(x) for x in key.split(","))
-        entries[(r, c)] = list_to_scalar(items, mode)
-    return LegMatrix(shape, entries, int(d["D"]), mode)
 
 
 # -- displacements and words -------------------------------------------
@@ -158,7 +135,8 @@ class RunConfig:
             if bad:
                 raise KernelError(f"unknown instance fields: {sorted(bad)}")
         fields = {**d, **overrides}
-        return RunConfig(fields.pop("family"), **fields)
+        _field(fields, "family", str, "config")
+        return RunConfig(**fields)
 
     @staticmethod
     def load(path: str, **overrides) -> "RunConfig":

@@ -204,6 +204,7 @@ def default_instance(nf: NormalizedFamily, n: int = 3) -> QKZInstance:
 def suite_qkz(nf: NormalizedFamily, instances=None, fault: str | None = None):
     if instances is None:
         instances = [default_instance(nf)]
+    drop = fault == "drop-step-shift"
     specs = []
     for k, inst in enumerate(instances):
         tag = f"inst{k}"
@@ -215,9 +216,9 @@ def suite_qkz(nf: NormalizedFamily, instances=None, fault: str | None = None):
         specs.append((
             f"{tag}.flatness",
             "difference-connection flatness (fault: step shift dropped)"
-            if fault == "drop-step-shift"
+            if drop
             else "difference-connection flatness for every index pair",
-            (lambda i=inst: check_flatness(i, fault)),
+            (lambda i=inst: check_flatness(i, drop)),
         ))
         for i_idx in range(1, inst.n + 1):
             specs.append((

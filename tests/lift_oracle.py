@@ -1,8 +1,11 @@
-"""The determinant lift over dense RatFn vectors, kept as the oracle of
-qdet.find_qdet_vector, and the eigen-equation residual over Scalars.
+"""The general determinant lift over dense RatFn vectors, kept as the
+oracle of qdet.find_qdet_vector, and the eigen-equation residual over
+Scalars.
 
-dense_lift(F) solves the same grade equations as find_qdet_vector with one
-dense length-T RatFn vector per block and grade, and scalar_residual(F, qd)
+dense_lift(F) solves the grade equations of the ladder's eigenvector from
+the classical antisymmetrizer upward, one dense length-T RatFn vector per
+block and grade, with one elimination for grades 2..D; find_qdet_vector
+checks that every correction it would find is zero.  scalar_residual(F, qd)
 applies the ladder's aux blocks (LegMatrix.apply over Scalars) to the
 coefficient vector of qd against its eigenvalue: None when every block
 equation holds to order D, else the first failing block.
@@ -50,7 +53,7 @@ def scalar_residual(F, qd: QDetData):
 
 
 def dense_lift(F) -> QDetData:
-    """find_qdet_vector over dense RatFn vectors, without its final
+    """The eigenvector lift over dense RatFn vectors, without a final
     residual check (scalar_residual is that check)."""
     N, D = F.N, F.D
     shifts = ladder_shifts(N, D)

@@ -223,7 +223,7 @@ class TestCriterion08Flatness:
 
     def test_fault_control_fails_early(self, nf_rat2):
         inst = make_instance(nf_rat2, 3)
-        grade = check_flatness(inst, fault="drop-step-shift")
+        grade = check_flatness(inst, drop_step_shift=True)
         assert grade is not None and grade <= 2
 
 

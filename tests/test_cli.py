@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from qkzkit import qdet
+from planting import planted
+from qkzkit import cli, qdet
 from qkzkit.cache import cache_dir
 from qkzkit.cli import (
     EXIT_CHECK_FAILED,
@@ -11,7 +12,7 @@ from qkzkit.cli import (
     EXIT_OK,
     run,
 )
-from qkzkit.errors import LiftFailure
+from qkzkit.families import build_rational
 from qkzkit.scalar import Scalar
 
 
@@ -170,6 +171,13 @@ class TestExitCodes:
         assert run(["--config", cfg]) == EXIT_CONFIG
         assert capsys.readouterr().err == f"config error: {message}\n"
 
+    def test_missing_family_is_named(self, tmp_path, capsys):
+        # used to exit 2 with the bare KeyError text 'family'
+        path = tmp_path / "nofamily.json"
+        path.write_text(json.dumps({"N": 2, "D": 2, "suite": "crossing"}))
+        assert run(["--config", str(path)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == "config error: config has no 'family' field\n"
+
     @pytest.mark.parametrize("family, points, factor", [
         ("rational", ["0", "0"], "0"),
         ("rational", ["0", "1", "1,1/2,0"], "0"),
@@ -242,16 +250,17 @@ class TestNormalizationFailure:
     config read after a normalization that worked is still exit 2."""
 
     def test_lift_failure_is_internal_error(self, tmp_path, capsys, monkeypatch):
-        # used to print "config error: ..." and exit 2
-        def failing(F):
-            raise LiftFailure("eigen-equation residual is nonzero")
-
-        monkeypatch.setattr(qdet, "find_qdet_vector", failing)
+        # used to print "config error: ..." and exit 2.  R + h^2 E: the
+        # determinant check fails at h-grade 2 and says so
+        monkeypatch.setattr(
+            cli, "family_from_descriptor",
+            lambda d: planted(build_rational(d["N"], d["D"]), 2),
+        )
         cfg = write_cfg(tmp_path, "lift.json", suite="normalize")
         assert run(["--config", cfg]) == EXIT_INTERNAL
         err = capsys.readouterr().err
-        assert err.startswith("internal error:")
-        assert "eigen-equation residual is nonzero" in err
+        assert err.startswith("internal error: LiftFailure(")
+        assert "the antisymmetrizer is not an eigenvector at h-grade 2" in err
 
     def test_rescaling_failure_is_internal_error(
         self, tmp_path, capsys, monkeypatch

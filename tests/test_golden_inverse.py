@@ -21,7 +21,7 @@ import pytest
 from qkzkit.errors import SingularMatrix
 from qkzkit.ratfn import RF_ZERO, RatFn
 from qkzkit.scalar import ADDITIVE, MULTIPLICATIVE, Scalar
-from qkzkit.serialize import dict_to_legmatrix, legmatrix_to_dict
+from qkzkit.serialize import list_to_scalar, scalar_to_list
 from qkzkit.tensor import LegMatrix, LegShape
 
 GOLDEN = Path(__file__).parent / "golden" / "inverse.json"
@@ -65,6 +65,27 @@ def random_matrices(seed: int = SEED, count: int = COUNT):
         }
         out.append(LegMatrix(shape, entries, D, mode))
     return out
+
+
+def legmatrix_to_dict(m: LegMatrix) -> dict:
+    """m as {dims, mode, D, entries}, each entry a Scalar's grade strings."""
+    return {
+        "dims": list(m.shape.dims),
+        "mode": m.mode,
+        "D": m.D,
+        "entries": {
+            f"{r},{c}": scalar_to_list(v)
+            for (r, c), v in sorted(m.entries.items())
+        },
+    }
+
+
+def dict_to_legmatrix(d: dict) -> LegMatrix:
+    entries = {
+        tuple(int(x) for x in key.split(",")): list_to_scalar(items, d["mode"])
+        for key, items in d["entries"].items()
+    }
+    return LegMatrix(LegShape(d["dims"]), entries, int(d["D"]), d["mode"])
 
 
 def inverse_record(m: LegMatrix) -> dict:

@@ -1,12 +1,11 @@
 """Golden normalization data: the determinant eigenvalue, its coefficient
 vector, rho and f0 must stay identical to the committed files, written in
 the cache's exact text format.  The cases are rational N=3, rational N=4
-and trigonometric N=2 at D=4, and the grade lift's edges: rational N=2 at
-D=1 (no grade is solved), rational N=3 at D=2 (one grade) and
-trigonometric N=2 at D=6.
+and trigonometric N=2 at D=4, and small and large D: rational N=2 at D=1,
+rational N=3 at D=2 and trigonometric N=2 at D=6.
 
-A change to the elimination or to the grade lift that alters any of these
-shows up here.  To regenerate after an intended change:
+A change to the per-grade antisymmetrizer check, to rho or to f0 that
+alters any of these shows up here.  To regenerate after an intended change:
 ``python tests/test_golden_normalize.py`` rewrites the files in
 ``tests/golden/``.
 """

@@ -126,7 +126,7 @@ class TestEvaluatedPath:
     def test_dropped_step_shift_fails_at_grade_two(self, nf_rat2):
         inst = self.five_points(nf_rat2)
         assert nf_rat2.D == 4
-        assert check_flatness(inst, "drop-step-shift") == 2
+        assert check_flatness(inst, drop_step_shift=True) == 2
 
     def test_operators_have_hseries_entries(self, nf_rat2):
         inst = make_instance(nf_rat2, 3)

@@ -11,9 +11,7 @@ from qkzkit.serialize import (
     RunConfig,
     argshift_to_str,
     decode_instance,
-    dict_to_legmatrix,
     dict_to_word,
-    legmatrix_to_dict,
     list_to_scalar,
     scalar_to_list,
     str_to_argshift,
@@ -36,18 +34,6 @@ class TestScalarRoundTrip:
         s = Scalar.coordinate(D, MULTIPLICATIVE)
         back = list_to_scalar(scalar_to_list(s), MULTIPLICATIVE)
         assert back == s and back.mode == MULTIPLICATIVE
-
-
-class TestLegMatrixRoundTrip:
-    def test_round_trip(self, rat2):
-        m = rat2.base
-        back = dict_to_legmatrix(legmatrix_to_dict(m))
-        assert back == m
-        assert back.mode == m.mode and back.D == m.D
-
-    def test_trig_round_trip(self, trig):
-        m = trig.base
-        assert dict_to_legmatrix(legmatrix_to_dict(m)) == m
 
 
 class TestArgShiftRoundTrip:
