@@ -3,7 +3,9 @@
 The expensive part of the pipeline is the determinant eigenvector and the
 normalizing scalar; both depend only on (family, N, D).  Entries live under
 QKZ_CACHE_DIR (default ~/.cache/qkzkit), carry a digest of their payload,
-and a digest mismatch triggers a warning and a recompute.
+and a digest mismatch, or coefficients other than the antisymmetrizer (which
+the determinant contraction builds in and never reads), triggers a warning
+and a recompute.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import warnings
 from pathlib import Path
 
 from .families import RMatrixFamily
-from .qdet import NormalizedFamily, QDetData, ladder_shifts, normalize
+from .qdet import NormalizedFamily, QDetData, antisymmetrizer, ladder_shifts, normalize
 from .serialize import list_to_scalar, scalar_to_list
 
 ENV_VAR = "QKZ_CACHE_DIR"
@@ -58,6 +60,8 @@ def _decode(payload: dict, F: RMatrixFamily) -> NormalizedFamily:
         tuple(int(i) for i in key.split(",")): list_to_scalar(items, mode)
         for key, items in payload["coeffs"].items()
     }
+    if coeffs != antisymmetrizer(F.N, F.D, mode):
+        raise ValueError("coefficients are not the antisymmetrizer")
     qd = QDetData(
         tuple(ladder_shifts(F.N, F.D)),
         coeffs,

@@ -7,17 +7,19 @@ representation to get the scalar rho, solve the product functional
 equation for the normalizing unit f0, and rescale R so that the
 determinant acts as 1.
 
-The antisymmetrizer is checked grade by grade over sparse tables: one pass
-over the ladder's entries at its support gives, for every aux block and
-every grade, the block's product with it as {coordinate: RatFn}; no step
-goes through Scalar arithmetic.
+The ladder is never formed.  The antisymmetrizer is checked on a thin
+operator whose N columns are e_b (x) v0: the N ladder factors applied to it,
+last factor first, give every aux block's product with v0, read grade by
+grade as sparse tables.  The signed sum over permutations that contracts
+the determinant against N operators is a determinant in their aux blocks,
+expanded by minors over column subsets, each minor computed once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 
 from .errors import KernelError, LiftFailure, NonUnitError, ShapeMismatch
 from .families import (
@@ -25,7 +27,6 @@ from .families import (
     RMatrixFamily,
     displaced,
     extract_scalar,
-    ladder,
     ladder_factors,
     shift_scalar,
     shift_sub,
@@ -34,7 +35,7 @@ from .families import (
     valued,
 )
 from .hseries import HSeries
-from .ratfn import RF_ONE, RF_ZERO, RatFn
+from .ratfn import RF_ONE, RF_ZERO
 from .scalar import Scalar
 from .tensor import LegMatrix, LegShape, certified_grade
 
@@ -50,8 +51,9 @@ def ladder_shifts(N: int, D: int) -> list[HSeries]:
 class QDetData:
     """Coefficient data of the determinant element.
 
-    coeffs maps an N-multi-index (0-based) to its scalar coefficient; the
-    vector is normalized so the coefficient at (0, 1, ..., N-1) is exactly 1.
+    coeffs maps an N-multi-index (0-based) to its scalar coefficient: the
+    antisymmetrizer, whose sign pattern contract builds in, with the
+    coefficient at (0, 1, ..., N-1) exactly 1.
     """
 
     shifts: tuple
@@ -60,20 +62,9 @@ class QDetData:
 
 
 def _perm_sign(p) -> int:
-    sign = 1
-    seen = [False] * len(p)
-    for i in range(len(p)):
-        if seen[i]:
-            continue
-        length = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = p[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
+    """The sign of the permutation p, by the parity of its inversions."""
+    inversions = sum(a > b for i, a in enumerate(p) for b in p[i + 1:])
+    return -1 if inversions % 2 else 1
 
 
 def aux_blocks(m: LegMatrix) -> dict:
@@ -89,81 +80,92 @@ def aux_blocks(m: LegMatrix) -> dict:
     return {k: LegMatrix._nonzero(sub, e, m.D, m.mode) for k, e in parts.items()}
 
 
+def antisymmetrizer(N: int, D: int, mode: str) -> dict:
+    """The determinant coefficients of the classical antisymmetrizer: each
+    permutation of range(N) to its sign, a constant Scalar (1 at the pivot
+    (0, 1, ..., N-1))."""
+    sign = {1: Scalar.one(D, mode), -1: Scalar.const(-1, D, mode)}
+    return {p: sign[_perm_sign(p)] for p in permutations(range(N))}
+
+
 def find_qdet_vector(F: RMatrixFamily) -> QDetData:
     """The classical antisymmetrizer, checked as the determinant vector.
 
-    Builds M = R^{0,1}(w + s_1) ... R^{0,N}(w + s_N) on legs [N]^(N+1)
-    (leg 1 auxiliary).  At the ladder shifts the fused product maps
-    aux (x) Lambda^N to itself by a scalar (Kulish, Reshetikhin and
-    Sklyanin 1981), so the antisymmetrizer v0 (permutation signs, pivot
-    coefficient 1) needs no h-correction: with M^{ab}_p the h^p grade of
-    the (a, b) aux block, M^{ab}_p v0 = delta_ab lam_p v0 for every p <= D.
+    With M = R^{0,1}(w + s_1) ... R^{0,N}(w + s_N) on legs [N]^(N+1) (leg 1
+    auxiliary): at the ladder shifts the fused product maps aux (x)
+    Lambda^N to itself by a scalar (Kulish, Reshetikhin and Sklyanin 1981),
+    so the antisymmetrizer v0 (permutation signs, pivot coefficient 1)
+    needs no h-correction: with M^{ab}_p the h^p grade of the (a, b) aux
+    block, M^{ab}_p v0 = delta_ab lam_p v0 for every p <= D.
 
-    One pass over the ladder's entries at the columns of v0's support
-    builds the sparse table of M^{ab}_p v0 for every block and grade.
-    lam_0 is pinned to 1, lam_p is read at the pivot of block (0, 0), and
-    every table is compared exactly with delta_ab lam_p v0: the equation
-    is verified to order D, and the first grade where it fails is named.
+    M is never formed.  A thin operator whose column b is e_b (x) v0 is
+    multiplied on the left by the N ladder factors, last factor first, so
+    no product has more than N nonzero columns; column b of the result is
+    M (e_b (x) v0), whose rows a T + r hold M^{ab} v0, read grade by grade
+    into sparse tables.  lam_0 is pinned to 1, lam_p is read at the pivot
+    of block (0, 0), and every table is compared exactly with
+    delta_ab lam_p v0: the equation is verified to order D, and the first
+    grade where it fails is named.
     """
     N, D = F.N, F.D
     shifts = ladder_shifts(N, D)
-    m = ladder(F, [ArgShift.of_h(s, F.mode) for s in shifts])
-
+    coeffs = antisymmetrizer(N, D, F.mode)
     vshape = LegShape([N] * N)
     T = vshape.total
-    v0 = {
-        vshape.ravel(p): RatFn.from_fraction(_perm_sign(p))
-        for p in permutations(range(N))
-    }
+    v0 = {vshape.ravel(p): c for p, c in coeffs.items()}
     pivot = vshape.ravel(tuple(range(N)))
 
-    # table[p]: M^{ab}_p v0, block (a, b) at rows (a N + b) T + r
+    factors = ladder_factors(F, [ArgShift.of_h(s, F.mode) for s in shifts])
+    thin = {(b * T + r, b): y for b in range(N) for r, y in v0.items()}
+    w = LegMatrix(factors[0].shape, thin, D, F.mode)
+    for f in reversed(factors):
+        w = f * w
+
+    # table[p]: M^{ab}_p v0 at (a T + r, b)
     table = [{} for _ in range(D + 1)]
-    for (r, c), s in m.entries.items():
-        b, c = divmod(c, T)
-        y = v0.get(c)
-        if y is None:
-            continue
-        a, r = divmod(r, T)
-        row = (a * N + b) * T + r
+    for key, s in w.entries.items():
         for p, x in enumerate(s.grades):
             if x:
-                z = table[p].get(row)
-                z = x * y if z is None else z + x * y
-                if z:
-                    table[p][row] = z
-                else:
-                    del table[p][row]
+                table[p][key] = x
 
-    lam = [RF_ONE] + [table[p].get(pivot, RF_ZERO) for p in range(1, D + 1)]
+    lam = [RF_ONE] + [table[p].get((pivot, 0), RF_ZERO) for p in range(1, D + 1)]
     for p, lp in enumerate(lam):
-        want = {(a * N + a) * T + r: lp * y for a in range(N) for r, y in v0.items()}
+        want = {
+            (a * T + r, a): lp * y.grades[0] for a in range(N) for r, y in v0.items()
+        }
         if table[p] != (want if lp else {}):
             raise LiftFailure(
                 f"the antisymmetrizer is not an eigenvector at h-grade {p}"
             )
-
-    coeffs = {
-        vshape.unravel(flat): Scalar([y] + [RF_ZERO] * D, F.mode)
-        for flat, y in sorted(v0.items())
-    }
     return QDetData(tuple(shifts), coeffs, Scalar(lam, F.mode))
 
 
-def contract(coeffs: dict, mats) -> LegMatrix:
-    """sum_i C_i x_{1 i_1} ... x_{N i_N} for the determinant coefficients C
-    and the blocks of the N operators x = mats, whose leg 1 is the
-    auxiliary [N] leg; the result acts on the remaining legs."""
-    sub = LegShape(mats[0].shape.dims[1:])
-    D, mode = mats[0].D, mats[0].mode
+def contract(mats) -> LegMatrix:
+    """sum over permutations s of sgn(s) x_{1 s_1} ... x_{N s_N}, for the
+    blocks of the N operators x = mats, whose leg 1 is the auxiliary [N]
+    leg; the result acts on the remaining legs.
+
+    The sum is a determinant of blocks with the row order kept, expanded
+    along its last row by minors over column subsets:
+    L(S) = sum_{c in S} (-1)^{#{s in S : s > c}} L(S - {c}) x_{|S|, c},
+    with L({c}) = x_{1 c}.  Each minor is computed once, so the sum takes
+    N 2^(N-1) - N block products instead of N! (N - 1).
+    """
+    N = len(mats)
     blocks = [aux_blocks(mk) for mk in mats]
-    out = LegMatrix.zero(sub, D, mode)
-    for idx in sorted(coeffs):
-        prod = LegMatrix.product(
-            (blocks[k][(k, ik)] for k, ik in enumerate(idx)), sub, D, mode
-        )
-        out = out + prod.mul_scalar(coeffs[idx])
-    return out
+    minors = {(c,): blocks[0][(0, c)] for c in range(N)}
+    for k in range(1, N):
+        nxt = {}
+        for cols in combinations(range(N), k + 1):
+            out = None
+            for i, c in enumerate(cols):
+                term = minors[cols[:i] + cols[i + 1:]] * blocks[k][(k, c)]
+                if (k - i) % 2:  # k - i columns of cols lie right of c
+                    term = -term
+                out = term if out is None else out + term
+            nxt[cols] = out
+        minors = nxt
+    return minors[tuple(range(N))]
 
 
 def qdet_apply(qd: QDetData, x_at) -> LegMatrix:
@@ -171,9 +173,9 @@ def qdet_apply(qd: QDetData, x_at) -> LegMatrix:
 
     x_at(s) must return an operator whose leg 1 is the auxiliary [N] leg;
     the result acts on the remaining legs:
-    sum_i C_i x_{1 i_1}(s_1) ... x_{N i_N}(s_N).
+    sum_i C_i x_{1 i_1}(s_1) ... x_{N i_N}(s_N), C the antisymmetrizer.
     """
-    return contract(qd.coeffs, [x_at(s) for s in qd.shifts])
+    return contract([x_at(s) for s in qd.shifts])
 
 
 def compute_rho(F, qd: QDetData) -> Scalar:
@@ -293,9 +295,9 @@ def pairing_contraction(nf: NormalizedFamily, points, raw=False):
     the given evaluation points, minus Id, as (factors, residual).
 
     factors are the N ladders' displaced Rbar-factors (R-factors when raw)
-    in order, then the determinant coefficients; residual(factors) is the
-    contraction minus Id over the ring of the factors' entries, so it also
-    takes the factors evaluated at a point.
+    in order; residual(factors) is the contraction minus Id over the ring
+    of the factors' entries, so it also takes the factors evaluated at a
+    point.
     """
     D, mode, n = nf.D, nf.mode, len(points)
     if not n:
@@ -308,16 +310,14 @@ def pairing_contraction(nf: NormalizedFamily, points, raw=False):
         factors += ladder_factors(
             src, [shift_sub(here, ArgShift.of(a, D), mode) for a in points]
         )
-    factors.append(nf.qdet.coeffs)
     big = factors[0].shape
 
     def residual(fs):
-        *rs, coeffs = fs
         ladders = [
-            LegMatrix.product(rs[i:i + n], big, D, mode)
-            for i in range(0, len(rs), n)
+            LegMatrix.product(fs[i:i + n], big, D, mode)
+            for i in range(0, len(fs), n)
         ]
-        image = contract(coeffs, ladders)
+        image = contract(ladders)
         return image - LegMatrix.identity(image.shape, D, mode, image.constant(1))
 
     return factors, residual

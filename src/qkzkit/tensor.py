@@ -437,20 +437,6 @@ def solve_linear(matrix, b):
 
 # -- certified evaluation: a product identity decided at a few points ----
 
-def _entries(factor):
-    """The distinct entries of a factor: a LegMatrix or a dict of Scalars."""
-    if isinstance(factor, LegMatrix):
-        factor = factor.entries
-    return {id(v): v for v in factor.values()}.values()
-
-
-def _at(factor, p: Point):
-    """factor with every entry evaluated at the point p."""
-    if isinstance(factor, LegMatrix):
-        return factor.map_entries(lambda s: s.eval(p))
-    return {k: v.eval(p) for k, v in factor.items()}
-
-
 def degree_bounds(factors, D: int) -> list:
     """(Lambda_g, B_g) for each grade g <= D, or None where nothing reaches
     grade g.
@@ -468,7 +454,7 @@ def degree_bounds(factors, D: int) -> list:
     reach = {0: (P_ONE, 0)}
     for f in factors:
         opts = {0: (P_ONE, 0)}  # the factor skipped
-        for s in _entries(f):
+        for s in {id(v): v for v in f.entries.values()}.values():
             for m, r in enumerate(s.grades):
                 if r:
                     d = pdeg(r.n) - pdeg(r.d)
@@ -505,10 +491,10 @@ def _small_integers():
 def certified_grade(factors, residual, D: int, mode: str = ADDITIVE) -> int | None:
     """residual(factors).first_nonzero_grade(), decided at a few points.
 
-    factors are LegMatrices or dicts of Scalars; residual maps them, or
-    the same factors evaluated at a point (HSeries entries), to a LegMatrix
-    whose grade-g entries are Q-linear combinations of products taking at
-    most one entry from each factor.  Evaluation at a point that is no
+    factors are LegMatrices; residual maps them, or the same factors
+    evaluated at a point (HSeries entries), to a LegMatrix whose grade-g
+    entries are Q-linear combinations of products taking at most one entry
+    from each factor.  Evaluation at a point that is no
     pole commutes with the ring operations, and Lambda_g times the grade-g
     residual is a polynomial of degree at most B_g (degree_bounds), so
     grade g is zero once B_g + 1 points read zero there; a nonzero reading
@@ -526,7 +512,8 @@ def certified_grade(factors, residual, D: int, mode: str = ADDITIVE) -> int | No
         if (mode != ADDITIVE and x == 0) or any(peval(lam, x) == 0 for lam in lams):
             continue
         p = Point.of(x, D, mode)
-        grade = residual([_at(f, p) for f in factors]).first_nonzero_grade()
+        at_p = [f.map_entries(lambda s: s.eval(p)) for f in factors]
+        grade = residual(at_p).first_nonzero_grade()
         best = least_grade([best, grade])
         used += 1
     return best

@@ -9,6 +9,8 @@ checks that every correction it would find is zero.  scalar_residual(F, qd)
 applies the ladder's aux blocks (LegMatrix.apply over Scalars) to the
 coefficient vector of qd against its eigenvalue: None when every block
 equation holds to order D, else the first failing block.
+permutation_contract(coeffs, mats) is qdet.contract written as the sum over
+all N! coefficients, N - 1 block products each.
 """
 
 from itertools import permutations
@@ -18,7 +20,7 @@ from qkzkit.families import ArgShift, ladder
 from qkzkit.qdet import QDetData, _perm_sign, aux_blocks, ladder_shifts
 from qkzkit.ratfn import RF_ONE, RF_ZERO, RatFn
 from qkzkit.scalar import Scalar
-from qkzkit.tensor import Elimination, LegShape
+from qkzkit.tensor import Elimination, LegMatrix, LegShape
 
 
 def apply_grade(blk, m, vec):
@@ -128,3 +130,19 @@ def dense_lift(F) -> QDetData:
         if any(not x.is_zero for x in col):
             coeffs[vshape.unravel(flat)] = Scalar(col, F.mode)
     return QDetData(tuple(shifts), coeffs, Scalar(lam, F.mode))
+
+
+def permutation_contract(coeffs: dict, mats) -> LegMatrix:
+    """sum_i C_i x_{1 i_1} ... x_{N i_N} for the determinant coefficients C
+    and the blocks of the N operators x = mats, whose leg 1 is the
+    auxiliary [N] leg; the result acts on the remaining legs."""
+    sub = LegShape(mats[0].shape.dims[1:])
+    D, mode = mats[0].D, mats[0].mode
+    blocks = [aux_blocks(mk) for mk in mats]
+    out = LegMatrix.zero(sub, D, mode)
+    for idx in sorted(coeffs):
+        prod = LegMatrix.product(
+            (blocks[k][(k, ik)] for k, ik in enumerate(idx)), sub, D, mode
+        )
+        out = out + prod.mul_scalar(coeffs[idx])
+    return out

@@ -2,7 +2,7 @@ import json
 import os
 import warnings
 
-from qkzkit.cache import ENV_VAR, _key, cache_dir, load_normalized
+from qkzkit.cache import ENV_VAR, _key, _payload_digest, cache_dir, load_normalized
 from qkzkit.cli import EXIT_OK, run
 from qkzkit.families import build_rational
 
@@ -49,6 +49,40 @@ class TestCache:
             again = load_normalized(F)
         assert any("recomputing" in str(w.message) for w in caught)
         assert _same_payload(clean, again)
+
+    def test_wrong_sign_with_a_valid_digest_recomputes(self, monkeypatch):
+        # the contraction builds the antisymmetrizer's signs in and never
+        # reads the stored coefficients, so the loader checks them itself
+        F = build_rational(3, 2)
+        clean = load_normalized(F)
+        path = next(cache_dir().glob("*.json"))
+        data = json.loads(path.read_text())
+        payload = data["payload"]
+        payload["coeffs"]["0,2,1"][0] = "1/1*w^0 / 1/1*w^0"  # was -1
+        data["digest"] = _payload_digest(payload)
+        path.write_text(json.dumps(data))
+        import qkzkit.cache as cache_mod
+
+        calls = []
+        real = cache_mod.normalize
+
+        def counting(G):
+            calls.append(1)
+            return real(G)
+
+        monkeypatch.setattr(cache_mod, "normalize", counting)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            again = load_normalized(F)
+        assert calls == [1]
+        assert [str(w.message) for w in caught] == [
+            f"cache entry {path} unusable (coefficients are not the "
+            "antisymmetrizer); recomputing"
+        ]
+        assert _same_payload(clean, again)
+        assert json.loads(path.read_text())["payload"]["coeffs"]["0,2,1"][0] == (
+            "-1/1*w^0 / 1/1*w^0"
+        )
 
     def test_distinct_keys_per_family(self):
         load_normalized(build_rational(2, 2))

@@ -1,6 +1,6 @@
 """Golden normalization data: the determinant eigenvalue, its coefficient
 vector, rho and f0 must stay identical to the committed files, written in
-the cache's exact text format.  The cases are rational N=3, rational N=4
+the cache's exact text format.  The cases are rational N=3, N=4 and N=5
 and trigonometric N=2 at D=4, and small and large D: rational N=2 at D=1,
 rational N=3 at D=2 and trigonometric N=2 at D=6.
 
@@ -28,6 +28,7 @@ CASES = {
     "normalize-rational-N3-D2": lambda: build_rational(3, 2),
     "normalize-rational-N3-D4": lambda: build_rational(3, 4),
     "normalize-rational-N4-D4": lambda: build_rational(4, 4),
+    "normalize-rational-N5-D4": lambda: build_rational(5, 4),
     "normalize-trigonometric-N2-D4": lambda: build_trigonometric(2, 4),
     "normalize-trigonometric-N2-D6": lambda: build_trigonometric(2, 6),
 }

@@ -1,11 +1,13 @@
 from fractions import Fraction
+from itertools import permutations
+from random import Random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fraction_poly import euclid_lcm, pdivmod, primitive
-from lift_oracle import dense_lift, scalar_residual
+from lift_oracle import dense_lift, permutation_contract, scalar_residual
 from planting import planted
 from qkzkit.errors import LiftFailure, NonUnitError, ShapeMismatch
 from qkzkit.families import (
@@ -22,6 +24,7 @@ from qkzkit.qdet import (
     check_pairing_control,
     check_pairing_qdet,
     compute_rho,
+    contract,
     find_qdet_vector,
     ladder_shifts,
     normalize,
@@ -31,7 +34,13 @@ from qkzkit.qdet import (
 from qkzkit.ratfn import RF_ONE, RF_ZERO, RatFn, pdeg, pmul
 from qkzkit.scalar import Point, Scalar
 from qkzkit.suites import run_checks, suite_normalize
-from qkzkit.tensor import Elimination, LegMatrix, certified_grade, degree_bounds
+from qkzkit.tensor import (
+    Elimination,
+    LegMatrix,
+    LegShape,
+    certified_grade,
+    degree_bounds,
+)
 
 
 class TestLadderShifts:
@@ -133,6 +142,35 @@ class TestLiftOracle:
         find_qdet_vector(rat3)
         assert calls == []
 
+    def test_lift_never_forms_the_ladder(self, rat4, monkeypatch):
+        # every product's right operand is the thin operator on e_b (x) v0:
+        # at most N nonzero columns, so the 4^5-square ladder never exists
+        import qkzkit.qdet as qdet_mod
+
+        def forbidden(*args):
+            raise AssertionError("the lift split an operator into aux blocks")
+
+        widths = []
+        mul = LegMatrix.__mul__
+
+        def counting(a, b):
+            widths.append(len({c for _, c in b.entries}))
+            return mul(a, b)
+
+        monkeypatch.setattr(qdet_mod, "aux_blocks", forbidden)
+        monkeypatch.setattr(LegMatrix, "__mul__", counting)
+        find_qdet_vector(rat4)
+        assert widths == [rat4.N] * rat4.N
+
+
+#: (builder, N) of the planted-fault tests; N = 2 keeps the builder's name
+PLANTED_FAMILIES = [
+    pytest.param(build_rational, 2, id="build_rational"),
+    pytest.param(build_trigonometric, 2, id="build_trigonometric"),
+    pytest.param(build_rational, 3, id="build_rational-N3"),
+    pytest.param(build_rational, 4, id="build_rational-N4"),
+]
+
 
 class TestLiftGuards:
     """A planted fault R + h^g E fails the antisymmetrizer check at grade g,
@@ -147,22 +185,79 @@ class TestLiftGuards:
                 find_qdet_vector(F)
 
     @pytest.mark.parametrize("grade", [0, 2, 3, 4])
-    @pytest.mark.parametrize("build", [build_rational, build_trigonometric])
-    def test_planted_fault_has_no_correction(self, build, grade):
+    @pytest.mark.parametrize("build, N", PLANTED_FAMILIES)
+    def test_planted_fault_has_no_correction(self, build, N, grade):
         # R + h^grade E: the antisymmetrizer would need a correction at
         # this grade, and none is searched for (grade 1 is the next test)
-        F = planted(build(2, 4), grade)
+        F = planted(build(N, 4), grade)
         match = f"the antisymmetrizer is not an eigenvector at h-grade {grade}$"
         with pytest.raises(LiftFailure, match=match):
             find_qdet_vector(F)
 
-    @pytest.mark.parametrize("build", [build_rational, build_trigonometric])
-    def test_grade_one_fault_fails_the_h1_test(self, build):
+    @pytest.mark.parametrize("build, N", PLANTED_FAMILIES)
+    def test_grade_one_fault_fails_the_h1_test(self, build, N):
         # R + h E: the h^1 grade, whose lam_1 is read at the pivot, fails
-        F = planted(build(2, 4), 1)
+        F = planted(build(N, 4), 1)
         match = "the antisymmetrizer is not an eigenvector at h-grade 1$"
         with pytest.raises(LiftFailure, match=match):
             find_qdet_vector(F)
+
+
+def random_operators(rng: Random, N: int, m: int = 2, D: int = 2):
+    """N operators on [N, m], about half their entries small-integer
+    HSeries and the rest zero."""
+    shape = LegShape([N, m])
+    return [
+        LegMatrix(shape, {
+            (r, c): HSeries([rng.randint(-3, 3) for _ in range(D + 1)])
+            for r in range(shape.total)
+            for c in range(shape.total)
+            if rng.random() < 0.5
+        }, D)
+        for _ in range(N)
+    ]
+
+
+def hseries_signs(N: int, D: int = 2) -> dict:
+    """The antisymmetrizer's coefficients as constant HSeries."""
+    return {p: HSeries.constant(_perm_sign(p), D) for p in permutations(range(N))}
+
+
+class TestContract:
+    """contract's subset recursion against the sum over all permutations
+    (tests/lift_oracle.py)."""
+
+    @pytest.mark.parametrize("name", ["rat2", "rat3", "rat4", "trig"])
+    def test_rho_operators_match_the_permutation_sum(self, name, request):
+        F = request.getfixturevalue(name)
+        qd = find_qdet_vector(F)
+        mats = [F.r(ArgShift.of_h(s, F.mode)) for s in qd.shifts]
+        assert contract(mats) == permutation_contract(qd.coeffs, mats)
+
+    @pytest.mark.parametrize("N", [2, 3, 4, 5])
+    def test_block_products(self, N, monkeypatch):
+        # each minor once: N 2^(N-1) - N products, against N! (N - 1)
+        mats = random_operators(Random(N), N)
+        calls = []
+        mul = LegMatrix.__mul__
+
+        def counting(a, b):
+            calls.append(1)
+            return mul(a, b)
+
+        monkeypatch.setattr(LegMatrix, "__mul__", counting)
+        got = contract(mats)
+        assert len(calls) == N * 2 ** (N - 1) - N
+        monkeypatch.setattr(LegMatrix, "__mul__", mul)
+        assert got == permutation_contract(hseries_signs(N), mats)
+
+
+@given(st.integers(2, 5), st.integers(0, 2**32 - 1))
+@settings(max_examples=12, deadline=None)
+def test_contract_matches_the_permutation_sum(N, seed):
+    # non-commuting blocks: the row order of every product is kept
+    mats = random_operators(Random(seed), N)
+    assert contract(mats) == permutation_contract(hseries_signs(N), mats)
 
 
 class TestRho:
@@ -399,8 +494,7 @@ class TestCertifiedPairing:
         reach = {0: (one, 0)}
         for f in factors:
             opts = {0: (one, 0)}
-            entries = f.entries if isinstance(f, LegMatrix) else f
-            for s in entries.values():
+            for s in f.entries.values():
                 for m, r in enumerate(s.grades):
                     if r:
                         d = pdeg(r.num) - pdeg(r.den)

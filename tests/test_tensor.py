@@ -423,8 +423,8 @@ class TestSharedProduct:
         assert prod.entries == naive_product(m, other)
 
     def test_rational_n4_ladder_is_cheap(self, monkeypatch):
-        # the ladder of find_qdet_vector for rational N = 4, D = 4: 9604
-        # nonzeros; a product per entry pair made 18228 Scalar products
+        # the full ladder of the rational N = 4, D = 4 determinant factors:
+        # 9604 nonzeros; a product per entry pair made 18228 Scalar products
         F = build_rational(4, 4)
         factors = ladder_factors(F, [ArgShift.of_h(s, F.mode) for s in ladder_shifts(4, 4)])
         calls = []
