@@ -27,7 +27,7 @@ from .families import (
     build_trigonometric,
     family_from_descriptor,
 )
-from .qdet import NormalizedFamily, QDetData, normalize
+from .qdet import NormalizedFamily, normalize
 from .reps import ComoduleWord, build_braiding, build_L, build_rvw
 from .qkz import QKZInstance, build_nabla, residual_qkz
 
@@ -46,7 +46,6 @@ __all__ = [
     "build_trigonometric",
     "family_from_descriptor",
     "NormalizedFamily",
-    "QDetData",
     "normalize",
     "ComoduleWord",
     "build_braiding",

@@ -1,11 +1,11 @@
 """Content-addressed cache for normalization data.
 
-The expensive part of the pipeline is the determinant eigenvector and the
-normalizing scalar; both depend only on (family, N, D).  Entries live under
-QKZ_CACHE_DIR (default ~/.cache/qkzkit), carry a digest of their payload,
-and a digest mismatch, or coefficients other than the antisymmetrizer (which
-the determinant contraction builds in and never reads), triggers a warning
-and a recompute.
+The expensive part of the pipeline is the normalizing scalar f0, which
+depends only on (family, N, D); an entry's payload is the family descriptor
+and f0.  Entries live under QKZ_CACHE_DIR (default ~/.cache/qkzkit) and
+carry a digest of their payload; a digest mismatch, an entry of the wrong
+shape or a grade that does not parse triggers a warning and a recompute.  An entry that also holds other
+keys (rho, the eigenvalue, the coefficients) is read for f0 alone.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import warnings
 from pathlib import Path
 
 from .families import RMatrixFamily
-from .qdet import NormalizedFamily, QDetData, antisymmetrizer, ladder_shifts, normalize
+from .qdet import NormalizedFamily, normalize
 from .serialize import list_to_scalar, scalar_to_list
 
 ENV_VAR = "QKZ_CACHE_DIR"
@@ -41,47 +41,32 @@ def _payload_digest(payload: dict) -> str:
 
 
 def _encode(nf: NormalizedFamily) -> dict:
-    qd = nf.qdet
-    return {
-        "descriptor": nf.family.descriptor(),
-        "f0": scalar_to_list(nf.f0),
-        "rho": scalar_to_list(nf.rho),
-        "eigenvalue": scalar_to_list(qd.eigenvalue),
-        "coeffs": {
-            ",".join(str(i) for i in idx): scalar_to_list(c)
-            for idx, c in sorted(qd.coeffs.items())
-        },
-    }
+    return {"descriptor": nf.family.descriptor(), "f0": scalar_to_list(nf.f0)}
 
 
 def _decode(payload: dict, F: RMatrixFamily) -> NormalizedFamily:
-    mode = F.mode
-    coeffs = {
-        tuple(int(i) for i in key.split(",")): list_to_scalar(items, mode)
-        for key, items in payload["coeffs"].items()
-    }
-    if coeffs != antisymmetrizer(F.N, F.D, mode):
-        raise ValueError("coefficients are not the antisymmetrizer")
-    qd = QDetData(
-        tuple(ladder_shifts(F.N, F.D)),
-        coeffs,
-        list_to_scalar(payload["eigenvalue"], mode),
-    )
-    rho = list_to_scalar(payload["rho"], mode)
-    f0 = list_to_scalar(payload["f0"], mode)
-    return NormalizedFamily(F, qd, rho, f0)
+    f0 = payload["f0"]
+    if not (
+        isinstance(f0, list)
+        and len(f0) == F.D + 1
+        and all(isinstance(g, str) for g in f0)
+    ):
+        raise ValueError(f"f0 is not a list of {F.D + 1} grade strings")
+    return NormalizedFamily(F, list_to_scalar(f0, F.mode))
 
 
 def load_normalized(F: RMatrixFamily) -> NormalizedFamily:
     """Normalized family via the cache; recomputes (and warns) on a missing,
-    unreadable, or tampered entry, and only warns when the entry cannot be
-    written."""
+    unreadable, malformed or tampered entry, and only warns when the entry
+    cannot be written."""
     path = cache_dir() / f"{_key(F)}.json"
     if path.exists():
         try:
             with open(path) as f:
                 wrapper = json.load(f)
-            payload = wrapper["payload"]
+            payload = wrapper.get("payload") if isinstance(wrapper, dict) else None
+            if not isinstance(payload, dict):
+                raise ValueError("not an object with an object payload")
             if wrapper.get("digest") != _payload_digest(payload):
                 raise ValueError("digest mismatch")
             if payload.get("descriptor") != F.descriptor():

@@ -1,11 +1,12 @@
-"""Quantum determinant data and the normalizing scalar for an R-matrix family.
+"""The quantum determinant and the normalizing scalar of an R-matrix family.
 
 The pipeline: check that the classical antisymmetrizer is an eigenvector of
-the N-fold ladder of R-factors at every h-grade (its coefficient vector C),
-take the ladder shifts, evaluate the determinant element in the vector
-representation to get the scalar rho, solve the product functional
-equation for the normalizing unit f0, and rescale R so that the
-determinant acts as 1.
+the N-fold ladder of R-factors at the ladder shifts, at every h-grade;
+evaluate the determinant element in the vector representation to get the
+scalar rho; solve the product functional equation for the normalizing unit
+f0; and rescale R so that the determinant acts as 1.  f0 is the whole
+output: the determinant vector is the fixed antisymmetrizer, whose signs
+contract builds in, and the shifts are ladder_shifts(N, D).
 
 The ladder is never formed.  The antisymmetrizer is checked on a thin
 operator whose N columns are e_b (x) v0: the N ladder factors applied to it,
@@ -17,7 +18,6 @@ expanded by minors over column subsets, each minor computed once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -47,20 +47,6 @@ def ladder_shifts(N: int, D: int) -> list[HSeries]:
     ]
 
 
-@dataclass(frozen=True)
-class QDetData:
-    """Coefficient data of the determinant element.
-
-    coeffs maps an N-multi-index (0-based) to its scalar coefficient: the
-    antisymmetrizer, whose sign pattern contract builds in, with the
-    coefficient at (0, 1, ..., N-1) exactly 1.
-    """
-
-    shifts: tuple
-    coeffs: dict
-    eigenvalue: Scalar
-
-
 def _perm_sign(p) -> int:
     """The sign of the permutation p, by the parity of its inversions."""
     inversions = sum(a > b for i, a in enumerate(p) for b in p[i + 1:])
@@ -88,8 +74,9 @@ def antisymmetrizer(N: int, D: int, mode: str) -> dict:
     return {p: sign[_perm_sign(p)] for p in permutations(range(N))}
 
 
-def find_qdet_vector(F: RMatrixFamily) -> QDetData:
-    """The classical antisymmetrizer, checked as the determinant vector.
+def find_qdet_vector(F: RMatrixFamily) -> Scalar:
+    """The classical antisymmetrizer, checked as the determinant vector;
+    returns its eigenvalue lam.
 
     With M = R^{0,1}(w + s_1) ... R^{0,N}(w + s_N) on legs [N]^(N+1) (leg 1
     auxiliary): at the ladder shifts the fused product maps aux (x)
@@ -109,10 +96,9 @@ def find_qdet_vector(F: RMatrixFamily) -> QDetData:
     """
     N, D = F.N, F.D
     shifts = ladder_shifts(N, D)
-    coeffs = antisymmetrizer(N, D, F.mode)
     vshape = LegShape([N] * N)
     T = vshape.total
-    v0 = {vshape.ravel(p): c for p, c in coeffs.items()}
+    v0 = {vshape.ravel(p): c for p, c in antisymmetrizer(N, D, F.mode).items()}
     pivot = vshape.ravel(tuple(range(N)))
 
     factors = ladder_factors(F, [ArgShift.of_h(s, F.mode) for s in shifts])
@@ -137,7 +123,7 @@ def find_qdet_vector(F: RMatrixFamily) -> QDetData:
             raise LiftFailure(
                 f"the antisymmetrizer is not an eigenvector at h-grade {p}"
             )
-    return QDetData(tuple(shifts), coeffs, Scalar(lam, F.mode))
+    return Scalar(lam, F.mode)
 
 
 def contract(mats) -> LegMatrix:
@@ -168,21 +154,23 @@ def contract(mats) -> LegMatrix:
     return minors[tuple(range(N))]
 
 
-def qdet_apply(qd: QDetData, x_at) -> LegMatrix:
-    """Image of the determinant element under blocks of x.
+def qdet_apply(F, x_at) -> LegMatrix:
+    """Image of the determinant element of F (raw or normalized) under
+    blocks of x.
 
     x_at(s) must return an operator whose leg 1 is the auxiliary [N] leg;
     the result acts on the remaining legs:
-    sum_i C_i x_{1 i_1}(s_1) ... x_{N i_N}(s_N), C the antisymmetrizer.
+    sum_i C_i x_{1 i_1}(s_1) ... x_{N i_N}(s_N), C the antisymmetrizer and
+    s the ladder shifts.
     """
-    return contract([x_at(s) for s in qd.shifts])
+    return contract([x_at(s) for s in ladder_shifts(F.N, F.D)])
 
 
-def compute_rho(F, qd: QDetData) -> Scalar:
+def compute_rho(F) -> Scalar:
     """The scalar by which the determinant element acts in the vector
     representation (x -> R with auxiliary first leg), for a raw or a
     normalized family F."""
-    return extract_scalar(qdet_apply(qd, lambda s: F.r(ArgShift.of_h(s, F.mode))))
+    return extract_scalar(qdet_apply(F, lambda s: F.r(ArgShift.of_h(s, F.mode))))
 
 
 def solve_f0(F: RMatrixFamily, target: Scalar) -> Scalar:
@@ -214,12 +202,11 @@ def solve_f0(F: RMatrixFamily, target: Scalar) -> Scalar:
 
 
 class NormalizedFamily:
-    """An R-matrix family rescaled so its determinant element acts as 1."""
+    """An R-matrix family rescaled by the unit f0 so its determinant element
+    acts as 1."""
 
-    def __init__(self, F: RMatrixFamily, qd: QDetData, rho: Scalar, f0: Scalar):
+    def __init__(self, F: RMatrixFamily, f0: Scalar):
         self.family = F
-        self.qdet = qd
-        self.rho = rho
         self.f0 = f0
         self.rbar = F.base.mul_scalar(f0)
         self._values: dict = {}  # r_value memo, by argument
@@ -256,7 +243,7 @@ class NormalizedFamily:
     # -- the identities the rescaling is supposed to buy ----------------
     def normalized_rho(self) -> Scalar:
         """rho of the rescaled matrix; 1 when the normalization worked."""
-        return compute_rho(self, self.qdet)
+        return compute_rho(self)
 
     def unitarity_scalar(self) -> Scalar:
         return unitarity_scalar(self)
@@ -264,7 +251,7 @@ class NormalizedFamily:
     def qdet_defect(self):
         """First nonzero grade of the determinant element's image minus Id,
         or None when it acts as 1."""
-        image = qdet_apply(self.qdet, lambda s: self.r(ArgShift.of_h(s, self.mode)))
+        image = qdet_apply(self, lambda s: self.r(ArgShift.of_h(s, self.mode)))
         return (image - self.identity(1)).first_nonzero_grade()
 
     def unitarity_defect(self):
@@ -281,10 +268,8 @@ class NormalizedFamily:
 
 def normalize(F: RMatrixFamily) -> NormalizedFamily:
     """Run the full determinant-normalization pipeline and verify it."""
-    qd = find_qdet_vector(F)
-    rho = compute_rho(F, qd)
-    f0 = solve_f0(F, rho.inv())
-    nf = NormalizedFamily(F, qd, rho, f0)
+    find_qdet_vector(F)  # LiftFailure unless the antisymmetrizer is the vector
+    nf = NormalizedFamily(F, solve_f0(F, compute_rho(F).inv()))
     if nf.normalized_rho() != Scalar.one(F.D, F.mode):
         raise KernelError("rescaled determinant scalar is not 1")
     return nf
@@ -304,7 +289,7 @@ def pairing_contraction(nf: NormalizedFamily, points, raw=False):
         raise ShapeMismatch("the pairing ladder needs at least one point")
     src = nf.family if raw else nf
     factors = []
-    for s in nf.qdet.shifts:
+    for s in ladder_shifts(nf.N, D):
         # the arguments w + s - a
         here = ArgShift.of_h(s, mode)
         factors += ladder_factors(

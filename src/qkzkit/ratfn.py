@@ -488,4 +488,7 @@ def str_to_ratfn(s: str) -> RatFn:
     num, sep, den = s.partition(" / ")
     if not sep:
         raise ValueError(f"bad rational function {s!r}")
-    return RatFn(str_to_poly(num), str_to_poly(den))
+    q = str_to_poly(den)
+    if not q:
+        raise ValueError(f"zero denominator in {s!r}")
+    return RatFn(str_to_poly(num), q)

@@ -4,23 +4,34 @@ Scalars.
 
 dense_lift(F) solves the grade equations of the ladder's eigenvector from
 the classical antisymmetrizer upward, one dense length-T RatFn vector per
-block and grade, with one elimination for grades 2..D; find_qdet_vector
-checks that every correction it would find is zero.  scalar_residual(F, qd)
-applies the ladder's aux blocks (LegMatrix.apply over Scalars) to the
-coefficient vector of qd against its eigenvalue: None when every block
-equation holds to order D, else the first failing block.
+block and grade, with one elimination for grades 2..D, and returns a Lift;
+find_qdet_vector checks that every correction it would find is zero.
+scalar_residual(F, lift) applies the ladder's aux blocks (LegMatrix.apply
+over Scalars) to the coefficient vector of lift against its eigenvalue:
+None when every block equation holds to order D, else the first failing
+block.
 permutation_contract(coeffs, mats) is qdet.contract written as the sum over
 all N! coefficients, N - 1 block products each.
 """
 
+from dataclasses import dataclass
 from itertools import permutations
 
 from qkzkit.errors import LiftFailure
 from qkzkit.families import ArgShift, ladder
-from qkzkit.qdet import QDetData, _perm_sign, aux_blocks, ladder_shifts
+from qkzkit.qdet import _perm_sign, aux_blocks, ladder_shifts
 from qkzkit.ratfn import RF_ONE, RF_ZERO, RatFn
 from qkzkit.scalar import Scalar
 from qkzkit.tensor import Elimination, LegMatrix, LegShape
+
+
+@dataclass(frozen=True)
+class Lift:
+    """A determinant vector: coeffs maps an N-multi-index (0-based) to its
+    Scalar coefficient, and eigenvalue is the ladder's scalar on it."""
+
+    coeffs: dict
+    eigenvalue: Scalar
 
 
 def apply_grade(blk, m, vec):
@@ -33,20 +44,20 @@ def apply_grade(blk, m, vec):
     return out
 
 
-def scalar_residual(F, qd: QDetData):
+def scalar_residual(F, lift: Lift):
     """The first aux block (a, b) where the ladder of F moves the
-    coefficient vector of qd other than by its eigenvalue (a == b) or to
+    coefficient vector of lift other than by its eigenvalue (a == b) or to
     zero (a != b), or None."""
     N, D = F.N, F.D
-    m = ladder(F, [ArgShift.of_h(s, F.mode) for s in qd.shifts])
+    m = ladder(F, [ArgShift.of_h(s, F.mode) for s in ladder_shifts(N, D)])
     vshape = LegShape([N] * N)
     vec = [Scalar.zero(D, F.mode) for _ in range(vshape.total)]
-    for idx, c in qd.coeffs.items():
+    for idx, c in lift.coeffs.items():
         vec[vshape.ravel(idx)] = c
     for (a, b), blk in sorted(aux_blocks(m).items()):
         got = blk.apply(vec)
         if a == b:
-            want = [qd.eigenvalue * x for x in vec]
+            want = [lift.eigenvalue * x for x in vec]
         else:
             want = [Scalar.zero(D, F.mode)] * vshape.total
         if any(not (x - y).is_zero for x, y in zip(got, want)):
@@ -54,12 +65,11 @@ def scalar_residual(F, qd: QDetData):
     return None
 
 
-def dense_lift(F) -> QDetData:
+def dense_lift(F) -> Lift:
     """The eigenvector lift over dense RatFn vectors, without a final
     residual check (scalar_residual is that check)."""
     N, D = F.N, F.D
-    shifts = ladder_shifts(N, D)
-    m = ladder(F, [ArgShift.of_h(s, F.mode) for s in shifts])
+    m = ladder(F, [ArgShift.of_h(s, F.mode) for s in ladder_shifts(N, D)])
 
     vshape = LegShape([N] * N)
     T = vshape.total
@@ -129,7 +139,7 @@ def dense_lift(F) -> QDetData:
         col = [levels[p][flat] for p in range(D + 1)]
         if any(not x.is_zero for x in col):
             coeffs[vshape.unravel(flat)] = Scalar(col, F.mode)
-    return QDetData(tuple(shifts), coeffs, Scalar(lam, F.mode))
+    return Lift(coeffs, Scalar(lam, F.mode))
 
 
 def permutation_contract(coeffs: dict, mats) -> LegMatrix:

@@ -30,6 +30,6 @@ def planted(F, grade, entries=E):
 
 def planted_nf(nf: NormalizedFamily, grade, entries=E) -> NormalizedFamily:
     """A copy of nf whose R̄ is R̄ + h^grade E; nf itself is unchanged."""
-    bad = NormalizedFamily(nf.family, nf.qdet, nf.rho, nf.f0)
+    bad = NormalizedFamily(nf.family, nf.f0)
     bad.rbar = nf.rbar + fault_matrix(nf.rbar, grade, entries)
     return bad

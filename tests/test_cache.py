@@ -1,19 +1,52 @@
 import json
 import os
 import warnings
+from pathlib import Path
+
+import pytest
 
 from qkzkit.cache import ENV_VAR, _key, _payload_digest, cache_dir, load_normalized
 from qkzkit.cli import EXIT_OK, run
 from qkzkit.families import build_rational
+from qkzkit.serialize import list_to_scalar
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
-def _same_payload(a, b):
-    return (
-        a.f0 == b.f0
-        and a.rho == b.rho
-        and a.qdet.coeffs == b.qdet.coeffs
-        and a.qdet.eigenvalue == b.qdet.eigenvalue
-    )
+def _signed(payload):
+    """A cache entry holding payload under its valid digest."""
+    return {"payload": payload, "digest": _payload_digest(payload)}
+
+
+#: name -> a malformed entry made from a clean one; each must warn and
+#: recompute, not end the run with exit 3
+MALFORMED = {
+    "not-an-object": lambda entry: [],
+    "short-f0": lambda entry: _signed(
+        dict(entry["payload"], f0=entry["payload"]["f0"][:3])
+    ),
+    "integer-grade": lambda entry: _signed(
+        dict(entry["payload"], f0=[1] + entry["payload"]["f0"][1:])
+    ),
+    "zero-denominator": lambda entry: _signed(
+        dict(entry["payload"], f0=["1/1*w^0 / 0/1*w^0"] + entry["payload"]["f0"][1:])
+    ),
+}
+
+
+def _count_normalize(monkeypatch) -> list:
+    """Make cache.normalize append to the returned list on every call."""
+    import qkzkit.cache as cache_mod
+
+    calls = []
+    real = cache_mod.normalize
+
+    def counting(G):
+        calls.append(1)
+        return real(G)
+
+    monkeypatch.setattr(cache_mod, "normalize", counting)
+    return calls
 
 
 class TestCache:
@@ -23,7 +56,10 @@ class TestCache:
         files = list(cache_dir().glob("*.json"))
         assert len(files) == 1
         warm = load_normalized(F)
-        assert _same_payload(cold, warm)
+        assert cold.f0 == warm.f0
+        assert set(json.loads(files[0].read_text())["payload"]) == {
+            "descriptor", "f0",
+        }
 
     def test_warm_load_skips_recompute(self, monkeypatch):
         F = build_rational(2, 2)
@@ -48,41 +84,52 @@ class TestCache:
             warnings.simplefilter("always")
             again = load_normalized(F)
         assert any("recomputing" in str(w.message) for w in caught)
-        assert _same_payload(clean, again)
+        assert clean.f0 == again.f0
 
-    def test_wrong_sign_with_a_valid_digest_recomputes(self, monkeypatch):
-        # the contraction builds the antisymmetrizer's signs in and never
-        # reads the stored coefficients, so the loader checks them itself
-        F = build_rational(3, 2)
+    def test_entry_of_the_full_layout_loads(self, monkeypatch):
+        # entries once also held rho, the eigenvalue and the coefficients;
+        # such an entry under a valid digest is read for f0 alone
+        F = build_rational(4, 4)
+        golden = json.loads((GOLDEN / "normalize-rational-N4-D4.json").read_text())
+        path = cache_dir() / f"{_key(F)}.json"
+        path.parent.mkdir(parents=True)
+        path.write_text(json.dumps(_signed(golden)))
+        calls = _count_normalize(monkeypatch)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            nf = load_normalized(F)
+        assert calls == [] and caught == []
+        assert nf.f0 == list_to_scalar(golden["f0"], F.mode)
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED))
+    def test_malformed_entry_warns_and_recomputes(self, name, tmp_path, monkeypatch):
+        F = build_rational(2, 4)
         clean = load_normalized(F)
         path = next(cache_dir().glob("*.json"))
-        data = json.loads(path.read_text())
-        payload = data["payload"]
-        payload["coeffs"]["0,2,1"][0] = "1/1*w^0 / 1/1*w^0"  # was -1
-        data["digest"] = _payload_digest(payload)
-        path.write_text(json.dumps(data))
-        import qkzkit.cache as cache_mod
-
-        calls = []
-        real = cache_mod.normalize
-
-        def counting(G):
-            calls.append(1)
-            return real(G)
-
-        monkeypatch.setattr(cache_mod, "normalize", counting)
+        entry = json.loads(path.read_text())
+        path.write_text(json.dumps(MALFORMED[name](entry)))
+        calls = _count_normalize(monkeypatch)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             again = load_normalized(F)
         assert calls == [1]
-        assert [str(w.message) for w in caught] == [
-            f"cache entry {path} unusable (coefficients are not the "
-            "antisymmetrizer); recomputing"
-        ]
-        assert _same_payload(clean, again)
-        assert json.loads(path.read_text())["payload"]["coeffs"]["0,2,1"][0] == (
-            "-1/1*w^0 / 1/1*w^0"
-        )
+        [warning] = [str(w.message) for w in caught]
+        assert warning.startswith(f"cache entry {path} unusable (")
+        assert warning.endswith("); recomputing")
+        assert again.f0 == clean.f0
+        assert json.loads(path.read_text()) == entry
+
+        # the command line recomputes as well, and exits 0
+        path.write_text(json.dumps(MALFORMED[name](entry)))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(
+            {"family": "rational", "N": 2, "D": 4, "suite": "normalize"}
+        ))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(["--config", str(cfg)]) == EXIT_OK
+        assert calls == [1, 1] and len(caught) == 1
+        assert json.loads(path.read_text()) == entry
 
     def test_distinct_keys_per_family(self):
         load_normalized(build_rational(2, 2))

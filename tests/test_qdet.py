@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fraction_poly import euclid_lcm, pdivmod, primitive
-from lift_oracle import dense_lift, permutation_contract, scalar_residual
+from lift_oracle import Lift, dense_lift, permutation_contract, scalar_residual
 from planting import planted
 from qkzkit.errors import LiftFailure, NonUnitError, ShapeMismatch
 from qkzkit.families import (
@@ -19,8 +19,8 @@ from qkzkit.families import (
 from qkzkit.hseries import HSeries
 from qkzkit.qdet import (
     NormalizedFamily,
-    QDetData,
     _perm_sign,
+    antisymmetrizer,
     check_pairing_control,
     check_pairing_qdet,
     compute_rho,
@@ -63,22 +63,21 @@ class TestEigenvector:
     @pytest.mark.parametrize("name", ["rat2", "rat3"])
     def test_rational_coeffs_are_permutation_signs(self, name, request):
         F = request.getfixturevalue(name)
-        qd = find_qdet_vector(F)
-        assert set(qd.coeffs) == {
-            idx for idx in qd.coeffs if sorted(idx) == list(range(F.N))
-        }
-        for idx, c in qd.coeffs.items():
+        find_qdet_vector(F)  # the vector it checks is the antisymmetrizer
+        coeffs = antisymmetrizer(F.N, F.D, F.mode)
+        assert sorted(coeffs) == sorted(permutations(range(F.N)))
+        for idx, c in coeffs.items():
             want = Scalar.const(Fraction(_perm_sign(list(idx))), F.D, F.mode)
             assert c == want
 
     def test_pivot_coefficient_is_one(self, trig):
-        qd = find_qdet_vector(trig)
-        assert qd.coeffs[(0, 1)] == Scalar.one(trig.D, trig.mode)
+        find_qdet_vector(trig)
+        coeffs = antisymmetrizer(trig.N, trig.D, trig.mode)
+        assert coeffs[(0, 1)] == Scalar.one(trig.D, trig.mode)
 
     def test_eigenvalue_is_unit(self, rat2, trig):
         for F in (rat2, trig):
-            qd = find_qdet_vector(F)
-            assert qd.eigenvalue.is_unit
+            assert find_qdet_vector(F).is_unit
 
     def test_lift_builds_no_elimination(self, rat3, monkeypatch):
         # the antisymmetrizer is checked, not solved for: no linear system
@@ -101,11 +100,12 @@ class TestLiftOracle:
     @pytest.mark.parametrize("name", ["rat2", "rat3", "rat4", "trig"])
     def test_scalar_residual_holds(self, name, request):
         F = request.getfixturevalue(name)
-        qd = find_qdet_vector(F)
-        assert scalar_residual(F, qd) is None
+        coeffs = antisymmetrizer(F.N, F.D, F.mode)
+        lam = find_qdet_vector(F)
+        assert scalar_residual(F, Lift(coeffs, lam)) is None
         dense = dense_lift(F)
-        assert list(qd.coeffs.items()) == list(dense.coeffs.items())
-        assert qd.eigenvalue == dense.eigenvalue
+        assert list(coeffs.items()) == list(dense.coeffs.items())
+        assert lam == dense.eigenvalue
 
     @pytest.mark.parametrize("build, N, D", [
         (build_rational, 2, 4), (build_rational, 3, 4), (build_rational, 4, 4),
@@ -118,14 +118,16 @@ class TestLiftOracle:
         F = build(N, D)
         dense = dense_lift(F)
         assert all(not g for c in dense.coeffs.values() for g in c.grades[1:])
-        qd = find_qdet_vector(F)
-        assert list(qd.coeffs.items()) == list(dense.coeffs.items())
-        assert qd.eigenvalue == dense.eigenvalue
+        coeffs = antisymmetrizer(F.N, F.D, F.mode)
+        assert list(coeffs.items()) == list(dense.coeffs.items())
+        assert find_qdet_vector(F) == dense.eigenvalue
 
     def test_scalar_residual_sees_a_wrong_eigenvalue(self, rat2):
-        qd = find_qdet_vector(rat2)
         grades = [RF_ZERO] * rat2.D + [RF_ONE]
-        bad = QDetData(qd.shifts, qd.coeffs, qd.eigenvalue + Scalar(grades))
+        bad = Lift(
+            antisymmetrizer(rat2.N, rat2.D, rat2.mode),
+            find_qdet_vector(rat2) + Scalar(grades),
+        )
         assert scalar_residual(rat2, bad) == (0, 0)
 
     def test_lift_applies_no_operator(self, rat3, monkeypatch):
@@ -230,9 +232,9 @@ class TestContract:
     @pytest.mark.parametrize("name", ["rat2", "rat3", "rat4", "trig"])
     def test_rho_operators_match_the_permutation_sum(self, name, request):
         F = request.getfixturevalue(name)
-        qd = find_qdet_vector(F)
-        mats = [F.r(ArgShift.of_h(s, F.mode)) for s in qd.shifts]
-        assert contract(mats) == permutation_contract(qd.coeffs, mats)
+        mats = [F.r(ArgShift.of_h(s, F.mode)) for s in ladder_shifts(F.N, F.D)]
+        coeffs = antisymmetrizer(F.N, F.D, F.mode)
+        assert contract(mats) == permutation_contract(coeffs, mats)
 
     @pytest.mark.parametrize("N", [2, 3, 4, 5])
     def test_block_products(self, N, monkeypatch):
@@ -264,8 +266,7 @@ class TestRho:
     @pytest.mark.parametrize("name", ["rat2", "rat3", "trig"])
     def test_rho_is_one_plus_higher_order(self, name, request):
         F = request.getfixturevalue(name)
-        qd = find_qdet_vector(F)
-        rho = compute_rho(F, qd)
+        rho = compute_rho(F)
         assert rho.grades[0] == RatFn.from_fraction(1)
         assert rho.is_unit
 
@@ -278,7 +279,7 @@ class TestNormalizingScalar:
         prod = Scalar.one(F.D, F.mode)
         for s in ladder_shifts(F.N, F.D):
             prod = prod * shift_scalar(nf.f0, ArgShift.of_h(s, F.mode), F.hshift_scale)
-        assert prod == nf.rho.inv()
+        assert prod == compute_rho(F).inv()
 
     def test_target_must_be_unit_normalized(self, rat2):
         with pytest.raises(NonUnitError):
@@ -307,7 +308,7 @@ class TestNormalizedFamily:
         grades = [RF_ZERO] * (nf.D + 1)
         grades[3] = RF_ONE
         bump = Scalar(grades, nf.mode)
-        bad = NormalizedFamily(nf.family, nf.qdet, nf.rho, nf.f0 + bump)
+        bad = NormalizedFamily(nf.family, nf.f0 + bump)
         specs = [
             s for s in suite_normalize(bad)
             if s[0] in ("normalized-qdet", "normalized-unitarity")
@@ -376,7 +377,7 @@ class TestPairing:
         F = build_rational(2, nf_rat2.D)
         F._base = nf_rat2.rbar
         one = Scalar.one(nf_rat2.D, nf_rat2.mode)
-        same = NormalizedFamily(F, nf_rat2.qdet, one, one)
+        same = NormalizedFamily(F, one)
         pts = [Fraction(1), Fraction(5, 2)]
         assert check_pairing_qdet(same, pts) is None
         assert check_pairing_control(same, pts) == nf_rat2.D
@@ -423,7 +424,7 @@ class TestValues:
                     assert m.get(r, col) == want
 
     def test_repeated_argument_is_not_evaluated_again(self, nf_rat2, monkeypatch):
-        nf = NormalizedFamily(nf_rat2.family, nf_rat2.qdet, nf_rat2.rho, nf_rat2.f0)
+        nf = NormalizedFamily(nf_rat2.family, nf_rat2.f0)
         calls = []
         evaluate = Scalar.eval
 
@@ -524,7 +525,7 @@ class TestCertifiedPairing:
         nf = request.getfixturevalue(name)
         grades = [RF_ZERO] * (nf.D + 1)
         grades[3] = RatFn((Fraction(1),), (Fraction(-1), Fraction(1)))
-        bad = NormalizedFamily(nf.family, nf.qdet, nf.rho, nf.f0)
+        bad = NormalizedFamily(nf.family, nf.f0)
         fault = {(0, 1): Scalar(grades, nf.mode)}
         bad.rbar = nf.rbar + LegMatrix(nf.rbar.shape, fault, nf.D, nf.mode)
         pts = pairing_points(nf)

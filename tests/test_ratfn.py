@@ -217,3 +217,6 @@ class TestSerialization:
             str_to_ratfn("nonsense")
         with pytest.raises(ValueError):
             str_to_ratfn("1*q^2 / 1/1*w^0")
+        # a ZeroDivisionError here ended a run on such a cache entry
+        with pytest.raises(ValueError, match="zero denominator"):
+            str_to_ratfn("1/1*w^0 / 0/1*w^0")
