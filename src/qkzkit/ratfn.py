@@ -473,7 +473,7 @@ def str_to_poly(s: str) -> Poly:
     out: dict = {}
     for term in s.split(" + "):
         coeff, _, power = term.partition("*w^")
-        if not power:
+        if not power or int(power) < 0:
             raise ValueError(f"bad polynomial term {term!r}")
         out[int(power)] = out.get(int(power), Fraction(0)) + str_to_frac(coeff)
     deg = max(out) if out else 0

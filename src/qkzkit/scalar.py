@@ -22,7 +22,7 @@ MULTIPLICATIVE = "multiplicative"
 
 
 class Scalar:
-    __slots__ = ("grades", "mode", "_chain")
+    __slots__ = ("grades", "mode", "_chain", "_hash")
 
     def __init__(self, grades, mode: str = ADDITIVE):
         self.grades = tuple(grades)
@@ -239,7 +239,13 @@ class Scalar:
         )
 
     def __hash__(self):
-        return hash((self.grades, self.mode))
+        """Computed once: a Scalar is immutable, and operators memoize
+        their entries by value."""
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = hash((self.grades, self.mode))
+            return self._hash
 
     def __repr__(self):
         text = " ; ".join(ratfn_to_str(g) for g in self.grades)

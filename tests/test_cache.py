@@ -31,6 +31,10 @@ MALFORMED = {
     "zero-denominator": lambda entry: _signed(
         dict(entry["payload"], f0=["1/1*w^0 / 0/1*w^0"] + entry["payload"]["f0"][1:])
     ),
+    # read as 0 under a valid digest before negative exponents were refused
+    "negative-exponent": lambda entry: _signed(
+        dict(entry["payload"], f0=["1/1*w^-1 / 1/1*w^0"] + entry["payload"]["f0"][1:])
+    ),
 }
 
 

@@ -388,6 +388,33 @@ class TestPairing:
         ]
         assert result.status == f"fails-at-grade-{nf_rat2.D}"
 
+    def test_entries_are_not_rehashed_per_point(self, nf_rat3, monkeypatch):
+        # every evaluation point memoizes the factors' entries by value; a
+        # Scalar hashes its grades once, so more points make no more
+        # RatFn hashes
+        import qkzkit.tensor as tensor
+
+        calls = []
+        rf_hash = RatFn.__hash__
+        bounds = tensor.degree_bounds
+
+        def counting(r):
+            calls.append(1)
+            return rf_hash(r)
+
+        def check(extra):
+            def padded(factors, D):
+                return [b and (b[0], b[1] + extra) for b in bounds(factors, D)]
+
+            monkeypatch.setattr(tensor, "degree_bounds", padded)
+            del calls[:]
+            assert check_pairing_qdet(nf_rat3, [Fraction(1), Fraction(5, 2)]) is None
+            return len(calls)
+
+        monkeypatch.setattr(RatFn, "__hash__", counting)
+        check(0)  # the derivative chains of the entries, built once
+        assert check(0) == check(4) > 0
+
     @pytest.mark.parametrize("name", ["nf_rat2", "nf_trig"])
     def test_unnormalized_control_fails(self, name, request):
         nf = request.getfixturevalue(name)

@@ -220,3 +220,11 @@ class TestSerialization:
         # a ZeroDivisionError here ended a run on such a cache entry
         with pytest.raises(ValueError, match="zero denominator"):
             str_to_ratfn("1/1*w^0 / 0/1*w^0")
+
+    @pytest.mark.parametrize("text", [
+        "1/1*w^-1 / 1/1*w^0", "1/1*w^0 / 2/1*w^-3", "1/1*w^2 + 1/1*w^-1 / 1/1*w^0",
+    ])
+    def test_negative_exponent_raises(self, text):
+        # the term was dropped: w^-1 / 1 read as the zero function
+        with pytest.raises(ValueError, match="bad polynomial term"):
+            str_to_ratfn(text)
