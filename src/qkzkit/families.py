@@ -104,14 +104,13 @@ def displaced(m: LegMatrix, off: ArgShift | None, hscale) -> LegMatrix:
 
 
 def valued(m: LegMatrix, off: ArgShift, hscale) -> LegMatrix:
-    """m at the fully substituted argument off (no symbolic coordinate
-    left), with HSeries entries."""
+    """m evaluated at the fully substituted argument off (no symbolic
+    coordinate left)."""
     if m.mode == ADDITIVE:
         val = HSeries.constant(off.const, m.D) + off.hpart
     else:
         val = off.hpart.scale(hscale).exp().scale(off.const)
-    p = Point(val, m.mode)
-    return m.map_entries(lambda s: s.eval(p))
+    return m.at(Point(val, m.mode))
 
 
 class RMatrixFamily:

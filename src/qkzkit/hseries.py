@@ -98,14 +98,6 @@ class HSeries:
     def zero(D: int) -> "HSeries":
         return HSeries.constant(0, D)
 
-    def like(self, c) -> "HSeries":
-        """The constant c in the ring of self."""
-        return HSeries.constant(c, self.truncation)
-
-    def grade_part(self, m: int) -> "HSeries":
-        """The m-th grade as a constant series."""
-        return HSeries._of((self.n[m],) + (0,) * self.truncation, self.d)
-
     def _check(self, other: "HSeries"):
         if len(self.n) != len(other.n):
             raise TruncationMismatch(

@@ -63,7 +63,9 @@ def aux_blocks(m: LegMatrix) -> dict:
         a, rs = divmod(r, sub.total)
         b, cs = divmod(c, sub.total)
         parts[(a, b)][(rs, cs)] = v
-    return {k: LegMatrix._nonzero(sub, e, m.D, m.mode) for k, e in parts.items()}
+    return {
+        k: LegMatrix._nonzero(sub, e, m.D, m.mode, m.den) for k, e in parts.items()
+    }
 
 
 def antisymmetrizer(N: int, D: int, mode: str) -> dict:
@@ -303,7 +305,7 @@ def pairing_contraction(nf: NormalizedFamily, points, raw=False):
             for i in range(0, len(fs), n)
         ]
         image = contract(ladders)
-        return image - LegMatrix.identity(image.shape, D, mode, image.constant(1))
+        return image - LegMatrix.identity(image.shape, D, mode, image.den is not None)
 
     return factors, residual
 

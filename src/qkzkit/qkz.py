@@ -8,7 +8,7 @@ evaluated at differences of base points, acting on the full fiber.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from .errors import ShapeMismatch
 from .families import ArgShift
@@ -27,6 +27,7 @@ class QKZInstance:
     z: tuple  # ArgShift per point
     words: tuple  # ComoduleWord per point
     K: HSeries
+    _nablas: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.z) != len(self.words):
@@ -68,6 +69,13 @@ class QKZInstance:
                     value=True,
                 )
                 m.inv()
+
+    def nabla(self, i: int, z=None) -> LegMatrix:
+        """build_nabla(self, i, z), built once per index and point tuple."""
+        key = (i, self.z if z is None else z)
+        if key not in self._nablas:
+            self._nablas[key] = build_nabla(self, i, z)
+        return self._nablas[key]
 
     def swapped(self, i: int) -> "QKZInstance":
         """The instance with points/words i and i+1 exchanged."""
@@ -123,14 +131,14 @@ def check_flatness(inst: QKZInstance, drop_step_shift: bool = False):
     h-grade 2 (the control of fault "drop-step-shift", which must fail).
     """
     kh = inst.kappa_h
-    plain = {i: build_nabla(inst, i) for i in range(1, inst.n + 1)}
+    plain = {i: inst.nabla(i) for i in range(1, inst.n + 1)}
     grades = []
     for i in range(1, inst.n + 1):
         for j in range(i + 1, inst.n + 1):
             zi = _z_step(inst.z, i, kh)
             zj = inst.z if drop_step_shift else _z_step(inst.z, j, kh)
-            lhs = build_nabla(inst, j, zi) * plain[i]
-            rhs = build_nabla(inst, i, zj) * plain[j]
+            lhs = inst.nabla(j, zi) * plain[i]
+            rhs = inst.nabla(i, zj) * plain[j]
             grades.append((lhs - rhs).first_nonzero_grade())
     return least_grade(grades)
 
@@ -152,7 +160,7 @@ def check_translation_invariance(inst: QKZInstance, t):
     off = t if isinstance(t, ArgShift) else ArgShift.of(t, inst.nf.D)
     moved = tuple(shift_add(zi, off, inst.nf.mode) for zi in inst.z)
     return least_grade(
-        (build_nabla(inst, i, moved) - build_nabla(inst, i)).first_nonzero_grade()
+        (inst.nabla(i, moved) - inst.nabla(i)).first_nonzero_grade()
         for i in range(1, inst.n + 1)
     )
 
@@ -194,14 +202,14 @@ def check_braiding_equivariance(inst: QKZInstance, i: int):
     )
     conj_left, _ = conjugator(stepped)
     conj_right, cur = conjugator(inst)
-    lhs = conj_left * build_nabla(inst, i)
-    return (lhs - build_nabla(cur, n) * conj_right).first_nonzero_grade()
+    lhs = conj_left * inst.nabla(i)
+    return (lhs - cur.nabla(n) * conj_right).first_nonzero_grade()
 
 
 def quasiclassical_limit(inst: QKZInstance, i: int) -> LegMatrix:
     """The h^1 grade of nabla_i as a grade-0 matrix; build_nabla's leading
     behavior is 1 + h * sum of classical terms."""
-    return build_nabla(inst, i).grade_matrix(1)
+    return inst.nabla(i).grade_matrix(1)
 
 
 def check_quasiclassical(inst: QKZInstance):
@@ -213,7 +221,7 @@ def check_quasiclassical(inst: QKZInstance):
     big = inst.fiber_shape()
     grades = []
     for i in range(1, inst.n + 1):
-        acc = LegMatrix.zero(big, nf.D, nf.mode)
+        terms = []
         for j in range(1, inst.n + 1):
             if j == i:
                 continue
@@ -221,8 +229,11 @@ def check_quasiclassical(inst: QKZInstance):
             r = build_rvw(
                 nf, inst.words[j - 1], inst.words[i - 1], off, value=True
             ).embed(big, inst.block_legs(j) + inst.block_legs(i))
-            acc = acc + r.grade_matrix(1)
-        grades.append((quasiclassical_limit(inst, i) - acc).first_nonzero_grade())
+            terms.append(r.grade_matrix(1))
+        diff = quasiclassical_limit(inst, i)
+        for t in terms:
+            diff = diff - t
+        grades.append(diff.first_nonzero_grade())
     return least_grade(grades)
 
 
@@ -235,7 +246,7 @@ def residual_qkz(inst: QKZInstance, fmap, i: int):
     total = inst.fiber_shape().total
     if len(f_here) != total or len(f_next) != total:
         raise ShapeMismatch("fiber vector has wrong length")
-    nv = build_nabla(inst, i).apply(f_here)
+    nv = inst.nabla(i).apply(f_here)
     return [a - b for a, b in zip(f_next, nv)]
 
 
@@ -248,7 +259,7 @@ def first_order_solution(inst: QKZInstance, i: int, v):
     is then zero at grades 0 and 1 and generically nonzero at grade 2.
     """
     stepped = _z_step(inst.z, i, inst.kappa_h)
-    a1 = build_nabla(inst, i).grade_matrix(1)
+    a1 = inst.nabla(i).grade_matrix(1)
     h = HSeries.h(inst.nf.D)
     f_next = [x + y * h for x, y in zip(v, a1.apply(v))]
 

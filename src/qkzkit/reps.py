@@ -82,12 +82,12 @@ def build_rvw(
     )
 
 
-def block_swap(nf: NormalizedFamily, p: int, q: int, one=None) -> LegMatrix:
-    """The permutation sending V-legs 1..p past W-legs p+1..p+q; one is the
-    unit of the entry ring (Scalar by default)."""
+def block_swap(nf: NormalizedFamily, p: int, q: int, evaluated=False) -> LegMatrix:
+    """The permutation sending V-legs 1..p past W-legs p+1..p+q, symbolic or
+    evaluated."""
     shape = LegShape([nf.N] * (p + q))
     perm = tuple(range(p, p + q)) + tuple(range(p))
-    return LegMatrix.from_leg_permutation(shape, perm, nf.D, nf.mode, one)
+    return LegMatrix.from_leg_permutation(shape, perm, nf.D, nf.mode, evaluated)
 
 
 def build_braiding(
@@ -98,9 +98,9 @@ def build_braiding(
     value: bool = False,
 ) -> LegMatrix:
     """The braiding V (x) W -> W (x) V: block swap after inverting R_VW,
-    both over the entry ring of R_VW."""
+    both evaluated when value is set."""
     inv = build_rvw(nf, vword, wword, off, value).inv()
-    return block_swap(nf, len(vword), len(wword), inv.constant(1)) * inv
+    return block_swap(nf, len(vword), len(wword), value) * inv
 
 
 def check_hexagon(

@@ -4,8 +4,8 @@ A Scalar is an array of D+1 rational functions of the curve coordinate w,
 graded by h-power, tagged with the coordinate mode: additive (w is the
 canonical parameter itself) or multiplicative (w is the group coordinate;
 translations act by w -> c*w and w -> w*exp(t)).  An HSeries operand of
-a ring operation is lifted into k(w)[[h]] by Scalar.from_hseries, so a
-symbolic operator may multiply one evaluated at a point.
+a ring operation is lifted into k(w)[[h]] by Scalar.from_hseries.  A
+Scalar is immutable, so its hash is computed once.
 """
 
 from __future__ import annotations
@@ -66,10 +66,6 @@ class Scalar:
         if isinstance(other, HSeries):
             return Scalar.from_hseries(other, self.mode)
         return other
-
-    def like(self, c) -> "Scalar":
-        """The constant c in the ring of self."""
-        return Scalar.const(c, self.truncation, self.mode)
 
     def grade_part(self, m: int) -> "Scalar":
         """The m-th grade as a Scalar concentrated in grade 0."""

@@ -1,13 +1,16 @@
 """Multi-leg linear algebra over the scalar ring.
 
 A LegMatrix is a square operator on a tensor product of finite-dimensional
-spaces.  Entries are Scalars (k(w)[[h]]) or, for an operator evaluated at
-a point, HSeries (Q[[h]]); they are stored sparsely as {(row, col): entry}
-with zeros omitted, and zero and one are taken from the entry ring.  A
-product of the two kinds is over k(w)[[h]].  A product computes each
-distinct entry product and each distinct entry sum once; equal term
-sequences share one entry object.  Row/column indices enumerate
-multi-indices in row-major leg order.  Legs are 1-based.
+spaces, stored sparsely as {(row, col): entry} with zeros omitted.  A
+symbolic operator has Scalar entries, in k(w)[[h]], and den None.  An
+operator evaluated at a point, over Q[[h]], has one integer denominator
+den > 0 for the whole operator, and each entry is a tuple of D+1 ints, the
+numerators of its h-grades.  Evaluated products and sums therefore run no
+gcd and build no object per term.  An evaluated operator that meets a
+symbolic one is lifted into k(w)[[h]] first, each distinct entry once.  A
+product computes each distinct entry sum once; equal term sequences share
+one entry object.  Row/column indices enumerate multi-indices in row-major
+leg order.  Legs are 1-based.
 
 certified_grade decides the first failing grade of a product identity
 exactly from the identity evaluated at a few points of the curve.
@@ -15,9 +18,13 @@ exactly from the identity evaluated at a few points of the curve.
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import count
+from math import gcd, lcm
+from operator import add, mul, neg
 
 from .errors import ShapeMismatch, SingularMatrix
+from .hseries import HSeries
 from .ratfn import P_ONE, RF_ONE, RF_ZERO, pdeg, peval, plcm, pmul
 from .scalar import ADDITIVE, Point, Scalar
 
@@ -59,23 +66,23 @@ class LegShape:
 
 
 class LegMatrix:
-    __slots__ = ("shape", "entries", "D", "mode")
+    __slots__ = ("shape", "entries", "D", "mode", "den")
 
-    def __init__(self, shape: LegShape, entries: dict, D: int, mode: str = ADDITIVE):
+    def __init__(self, shape: LegShape, entries: dict, D: int,
+                 mode: str = ADDITIVE, den: int | None = None):
         self.shape = shape
-        self.entries = {k: v for k, v in entries.items() if not v.is_zero}
+        nonzero = bool if den is None else any
+        self.entries = {k: v for k, v in entries.items() if nonzero(v)}
         self.D = D
         self.mode = mode
+        self.den = den
 
     # -- constructors -------------------------------------------------
     @staticmethod
-    def identity(
-        shape: LegShape, D: int, mode: str = ADDITIVE, one=None
-    ) -> "LegMatrix":
-        """Id on shape; one is the unit of the entry ring (Scalar by
-        default)."""
-        one = Scalar.one(D, mode) if one is None else one
-        return LegMatrix(shape, {(i, i): one for i in range(shape.total)}, D, mode)
+    def identity(shape, D: int, mode=ADDITIVE, evaluated=False) -> "LegMatrix":
+        """Id on shape, symbolic or evaluated."""
+        perm = range(len(shape.dims))
+        return LegMatrix.from_leg_permutation(shape, perm, D, mode, evaluated)
 
     @staticmethod
     def product(factors, shape: LegShape, D: int, mode: str = ADDITIVE) -> "LegMatrix":
@@ -87,33 +94,38 @@ class LegMatrix:
         return LegMatrix.identity(shape, D, mode) if out is None else out
 
     @staticmethod
-    def _nonzero(shape: LegShape, entries: dict, D: int, mode: str) -> "LegMatrix":
+    def _nonzero(shape, entries: dict, D: int, mode: str, den=None) -> "LegMatrix":
         """A LegMatrix over entries already known to be nonzero."""
         m = LegMatrix.__new__(LegMatrix)
-        m.shape, m.entries, m.D, m.mode = shape, entries, D, mode
+        m.shape, m.entries, m.D, m.mode, m.den = shape, entries, D, mode, den
         return m
 
     @staticmethod
-    def zero(shape: LegShape, D: int, mode: str = ADDITIVE) -> "LegMatrix":
-        return LegMatrix(shape, {}, D, mode)
-
-    @staticmethod
     def from_leg_permutation(
-        shape: LegShape, perm, D: int, mode: str = ADDITIVE, one=None
+        shape: LegShape, perm, D: int, mode: str = ADDITIVE, evaluated: bool = False
     ) -> "LegMatrix":
-        """Operator sending e_{i_1} x...x e_{i_k} to the legs reordered by perm.
+        """Operator sending e_{i_1} x...x e_{i_k} to the legs reordered by perm,
+        over den 1 when evaluated.
 
-        perm is 0-based: output leg p receives input leg perm[p]; one is the
-        unit of the entry ring (Scalar by default).
+        perm is 0-based: output leg p receives input leg perm[p].
         """
-        one = Scalar.one(D, mode) if one is None else one
+        one = (1,) + (0,) * D if evaluated else Scalar.one(D, mode)
         out_dims = tuple(shape.dims[p] for p in perm)
         out_shape = LegShape(out_dims)
         entries = {}
         for col in range(shape.total):
             multi = shape.unravel(col)
             entries[(out_shape.ravel([multi[p] for p in perm]), col)] = one
-        return LegMatrix(out_shape, entries, D, mode)
+        return LegMatrix(out_shape, entries, D, mode, 1 if evaluated else None)
+
+    @staticmethod
+    def from_values(shape: LegShape, vals: dict, D: int, mode: str = ADDITIVE):
+        """The evaluated operator with the HSeries entries vals, over the lcm
+        of their denominators; each distinct object is converted once."""
+        distinct = {id(v): v for v in vals.values()}
+        den = lcm(*(v.d for v in distinct.values()))
+        num = {i: tuple(x * (den // v.d) for x in v.n) for i, v in distinct.items()}
+        return LegMatrix(shape, {k: num[id(v)] for k, v in vals.items()}, D, mode, den)
 
     # -- helpers ------------------------------------------------------
     def _check(self, other: "LegMatrix"):
@@ -122,70 +134,102 @@ class LegMatrix:
         if self.D != other.D or self.mode != other.mode:
             raise ShapeMismatch("mixed truncation or mode")
 
-    def constant(self, c):
-        """The constant c in the entry ring (Scalar when there are no
-        entries)."""
-        for v in self.entries.values():
-            return v.like(c)
-        return Scalar.const(c, self.D, self.mode)
+    def _common(self, other: "LegMatrix"):
+        """self and other over one entry ring: an evaluated operator that
+        meets a symbolic one is lifted into k(w)[[h]]."""
+        self._check(other)
+        if (self.den is None) == (other.den is None):
+            return self, other
+        return self.symbolic(), other.symbolic()
+
+    def symbolic(self) -> "LegMatrix":
+        """self over k(w)[[h]]; an evaluated entry is lifted through
+        Scalar.from_hseries, each distinct one once."""
+        if self.den is None:
+            return self
+        den, mode = self.den, self.mode
+        lifted = _map_distinct(
+            self.entries, lambda v: Scalar.from_hseries(HSeries._of(v, den), mode)
+        )
+        return LegMatrix(self.shape, lifted, self.D, mode)
 
     def get(self, r: int, c: int):
-        s = self.entries.get((r, c))
-        return s if s is not None else self.constant(0)
+        """Entry (r, c): a Scalar, or an HSeries when evaluated."""
+        v = self.entries.get((r, c))
+        if self.den is not None:
+            return HSeries._of(v or (0,) * (self.D + 1), self.den)
+        return v if v is not None else Scalar.zero(self.D, self.mode)
 
     @property
     def is_zero(self) -> bool:
         return not self.entries
 
     def first_nonzero_grade(self) -> int | None:
-        return least_grade(s.first_nonzero_grade() for s in self.entries.values())
+        if self.den is None:
+            return least_grade(s.first_nonzero_grade() for s in self.entries.values())
+        return min((next(m for m, x in enumerate(v) if x)
+                    for v in self.entries.values()), default=None)
 
     # -- algebra ------------------------------------------------------
     def __add__(self, other: "LegMatrix") -> "LegMatrix":
-        self._check(other)
-        out = dict(self.entries)
-        for k, v in other.entries.items():
+        """An evaluated sum aligns the two denominators once."""
+        a, b = self._common(other)
+        ea, eb, den = a.entries, b.entries, None
+        if a.den is not None:
+            g = gcd(a.den, b.den)
+            fa, fb, den = b.den // g, a.den // g, a.den // g * b.den
+            if fa != 1:
+                ea = _map_distinct(ea, lambda v: tuple(x * fa for x in v))
+            if fb != 1:
+                eb = _map_distinct(eb, lambda v: tuple(x * fb for x in v))
+        out = dict(ea)
+        for k, v in eb.items():
             cur = out.get(k)
-            out[k] = v if cur is None else cur + v
-        return LegMatrix(self.shape, out, self.D, self.mode)
+            if cur is not None:
+                v = cur + v if den is None else tuple(map(add, cur, v))
+            out[k] = v
+        return LegMatrix(a.shape, out, a.D, a.mode, den)
 
     def __neg__(self) -> "LegMatrix":
-        return LegMatrix(
-            self.shape, {k: -v for k, v in self.entries.items()}, self.D, self.mode
-        )
+        return self.map_entries(neg if self.den is None else lambda v: tuple(map(neg, v)))
 
     def __sub__(self, other: "LegMatrix") -> "LegMatrix":
         return self + (-other)
 
     def __mul__(self, other: "LegMatrix") -> "LegMatrix":
-        """Entry products are keyed by the object pair of their factors and
-        entry sums by the object sequence of their terms, each computed once."""
-        self._check(other)
+        """Each distinct entry sum is computed once, keyed by the object
+        sequence of its terms; a symbolic one also computes each entry
+        product once per object pair.  An evaluated product sums integer
+        convolutions over the product of the two denominators."""
+        a, b = self._common(other)
+        objs: dict = {}  # id -> entry
         rows_b: dict = {}
-        for (k, c), v in other.entries.items():
-            rows_b.setdefault(k, []).append((c, v))
-        terms: dict = {}  # (r, c) -> [a1, b1, a2, b2, ...]
-        for (r, k), a in self.entries.items():
-            for c, b in rows_b.get(k, ()):
-                terms.setdefault((r, c), []).extend((a, b))
-        prods, sums, out = {}, {}, {}
-        for key, ts in terms.items():
-            ids = tuple(map(id, ts))
-            if ids not in sums:
-                s = None
-                for i in range(0, len(ts), 2):
-                    p = prods.get(ids[i : i + 2])
-                    if p is None:
-                        p = prods[ids[i : i + 2]] = ts[i] * ts[i + 1]
-                    s = p if s is None else s + p
-                sums[ids] = None if s.is_zero else s
-            if sums[ids] is not None:
-                out[key] = sums[ids]
-        return LegMatrix._nonzero(self.shape, out, self.D, self.mode)
+        for (k, c), y in b.entries.items():
+            objs[id(y)] = y
+            rows_b.setdefault(k, []).append((c, id(y)))
+        terms: dict = {}  # (r, c) -> [id a1, id b1, id a2, id b2, ...]
+        for (r, k), x in a.entries.items():
+            objs[id(x)] = x
+            for c, iy in rows_b.get(k, ()):
+                terms.setdefault((r, c), []).extend((id(x), iy))
+        if a.den is None:
+            total, den = partial(_pair_memo_sum, objs, {}), None
+        else:
+            total, den = partial(_convolution_sum, objs, a.D + 1), a.den * b.den
+        sums, out = {}, {}
+        for key, ids in terms.items():
+            ids = tuple(ids)
+            s = sums.get(ids, 0)
+            if s == 0:
+                s = sums[ids] = total(ids)
+            if s is not None:
+                out[key] = s
+        return LegMatrix._nonzero(a.shape, out, a.D, a.mode, den)
 
     def mul_scalar(self, s: Scalar) -> "LegMatrix":
+        m = self.symbolic()
         return LegMatrix(
-            self.shape, {k: v * s for k, v in self.entries.items()}, self.D, self.mode
+            m.shape, {k: v * s for k, v in m.entries.items()}, m.D, m.mode
         )
 
     def __eq__(self, other) -> bool:
@@ -229,7 +273,7 @@ class LegMatrix:
             pr, pc = place[r], place[c]
             for o in offsets:
                 out[(pr + o, pc + o)] = v
-        return LegMatrix._nonzero(target, out, self.D, self.mode)
+        return LegMatrix._nonzero(target, out, self.D, self.mode, self.den)
 
     def partial_transpose(self, leg: int) -> "LegMatrix":
         """Transpose in the named 1-based leg only."""
@@ -240,18 +284,21 @@ class LegMatrix:
         for (r, c), v in self.entries.items():
             t = ((c // s) % d - (r // s) % d) * s  # swap the two leg digits
             out[(r + t, c - t)] = v
-        return LegMatrix._nonzero(self.shape, out, self.D, self.mode)
+        return LegMatrix._nonzero(self.shape, out, self.D, self.mode, self.den)
 
     # -- inversion ----------------------------------------------------
     def inv(self) -> "LegMatrix":
-        """Exact inverse by Gauss-Jordan elimination with unit pivots.
+        """Exact inverse; raises SingularMatrix naming the first column with
+        no unit pivot, the first whose h^0 grade depends on those before it.
 
-        Eliminates the sparse augmented rows [self | Id]; the identity
-        columns ride along and the inverse is read from the pivot rows.
-        Raises SingularMatrix naming the first column with no unit pivot.
+        Symbolic: Gauss-Jordan elimination of the sparse augmented rows
+        [self | Id] with unit pivots; the inverse is read from the pivot
+        rows.  Evaluated: see _inv_evaluated.
         """
+        if self.den is not None:
+            return self._inv_evaluated()
         n = self.shape.total
-        one = self.constant(1)
+        one = Scalar.one(self.D, self.mode)
         rows = [{n + r: one} for r in range(n)]
         for (r, c), v in self.entries.items():
             rows[r][c] = v
@@ -266,13 +313,38 @@ class LegMatrix:
                     out[(c, k - n)] = v
         return LegMatrix(self.shape, out, self.D, self.mode)
 
+    def _inv_evaluated(self) -> "LegMatrix":
+        """self = sum_m h^m A_m / den.  With A_0 adj = det Id, the inverse of
+        sum_m h^m A_m is sum_m h^m E_m / det^(m+1), E_0 = adj and E_m =
+        -adj sum_{k=1..m} det^(k-1) A_k E_{m-k}; reduced by its content."""
+        n, D = self.shape.total, self.D
+        a = [[[0] * n for _ in range(n)] for _ in range(D + 1)]
+        for (r, c), v in self.entries.items():
+            for m, x in enumerate(v):
+                a[m][r][c] = x
+        adj, det = _bareiss_inverse(a[0])
+        e = [adj]
+        for m in range(1, D + 1):
+            # [A_1 ... A_m] times the stacked det^(k-1) E_{m-k}
+            left = [sum((a[k][r] for k in range(1, m + 1)), []) for r in range(n)]
+            right = [[det ** (k - 1) * x for x in row]
+                     for k in range(1, m + 1) for row in e[m - k]]
+            e.append([[-x for x in row] for row in _matmul(adj, _matmul(left, right))])
+        sign = -1 if det ** (D + 1) < 0 else 1
+        scale = [sign * self.den * det ** (D - m) for m in range(D + 1)]
+        out = {(r, c): tuple(em[r][c] * f for em, f in zip(e, scale))
+               for r in range(n) for c in range(n)}
+        g = gcd(det ** (D + 1), *(x for v in out.values() for x in v))
+        out = {k: tuple(x // g for x in v) for k, v in out.items()}
+        return LegMatrix(self.shape, out, D, self.mode, abs(det) ** (D + 1) // g)
+
     def theta(self) -> "LegMatrix":
         """(X^{-1}) transposed in leg 1."""
         return self.inv().partial_transpose(1)
 
     # -- grades -------------------------------------------------------
     def grade(self, m: int):
-        """Dense m-th h-grade as rows of RatFn."""
+        """Dense m-th h-grade of a symbolic operator as rows of RatFn."""
         n = self.shape.total
         out = [[RF_ZERO] * n for _ in range(n)]
         for (r, c), v in self.entries.items():
@@ -281,32 +353,105 @@ class LegMatrix:
 
     def grade_matrix(self, m: int) -> "LegMatrix":
         """The m-th h-grade as a LegMatrix concentrated in grade 0."""
-        out = {k: v.grade_part(m) for k, v in self.entries.items()}
-        return LegMatrix(self.shape, out, self.D, self.mode)
+        if self.den is None:
+            return self.map_entries(lambda s: s.grade_part(m))
+        pad = (0,) * self.D
+        return self.map_entries(lambda v: (v[m],) + pad)
 
     # -- entrywise maps -----------------------------------------------
     def map_entries(self, fn) -> "LegMatrix":
-        """fn applied entrywise, once per distinct entry value."""
-        memo: dict = {}
-        out = {}
-        for k, v in self.entries.items():
-            y = memo.get(v)
-            if y is None:
-                y = memo[v] = fn(v)
-            out[k] = y
-        return LegMatrix(self.shape, out, self.D, self.mode)
+        """fn applied entrywise, once per distinct entry value; an
+        evaluated operator keeps its denominator."""
+        return LegMatrix(
+            self.shape, _map_distinct(self.entries, fn), self.D, self.mode, self.den
+        )
+
+    def at(self, p: Point) -> "LegMatrix":
+        """The symbolic self evaluated at the point p, each distinct entry
+        value once."""
+        return LegMatrix.from_values(
+            self.shape, _map_distinct(self.entries, lambda s: s.eval(p)),
+            self.D, self.mode,
+        )
 
     def apply(self, vec):
-        """Matrix-vector product; vec is a list of Scalars or HSeries."""
-        zero = self.constant(0)
-        out = [zero] * self.shape.total
-        for (r, c), v in self.entries.items():
+        """Matrix-vector product over k(w)[[h]]; vec is a list of Scalars."""
+        m = self.symbolic()
+        out = [Scalar.zero(m.D, m.mode)] * m.shape.total
+        for (r, c), v in m.entries.items():
             if not vec[c].is_zero:
                 out[r] = out[r] + v * vec[c]
         return out
 
     def __repr__(self):
-        return f"LegMatrix({self.shape!r}, nnz={len(self.entries)})"
+        return f"LegMatrix({self.shape!r}, nnz={len(self.entries)}, den={self.den})"
+
+
+# -- entry helpers: symbolic entries are Scalars, evaluated ones int tuples --
+
+def _map_distinct(entries: dict, fn) -> dict:
+    """{key: fn(v)}, fn called once per distinct entry value."""
+    memo: dict = {}
+    out = {}
+    for k, v in entries.items():
+        y = memo.get(v)
+        if y is None:
+            y = memo[v] = fn(v)
+        out[k] = y
+    return out
+
+
+def _pair_memo_sum(objs: dict, prods: dict, ids: tuple):
+    """The Scalar sum a1 b1 + a2 b2 + ... of the entries objs[id] of a term
+    sequence of ids, each id pair's product once in prods; None when 0."""
+    s = None
+    for i in range(0, len(ids), 2):
+        p = prods.get(ids[i : i + 2])
+        if p is None:
+            p = prods[ids[i : i + 2]] = objs[ids[i]] * objs[ids[i + 1]]
+        s = p if s is None else s + p
+    return None if s.is_zero else s
+
+
+def _convolution_sum(objs: dict, n: int, ids: tuple):
+    """The integer sum a1 b1 + a2 b2 + ... of the n-tuples objs[id] of a
+    term sequence of ids, as truncated convolutions; None when 0."""
+    out = [0] * n
+    for i in range(0, len(ids), 2):
+        b = objs[ids[i + 1]]
+        for p, x in enumerate(objs[ids[i]]):
+            if x:
+                for q in range(n - p):
+                    out[p + q] += x * b[q]
+    return tuple(out) if any(out) else None
+
+
+def _matmul(a, b) -> list:
+    """The dense integer product of two matrices given as rows."""
+    cols = list(zip(*b))
+    return [[sum(map(mul, row, col)) for col in cols] for row in a]
+
+
+def _bareiss_inverse(a) -> tuple:
+    """(adj, det) with a adj = det Id for the square integer matrix a, by
+    fraction-free Gauss-Jordan elimination (Bareiss 1968): every division
+    is exact and no fraction is built.  Raises SingularMatrix naming the
+    first column that depends on the columns before it."""
+    n = len(a)
+    rows = [list(row) + [int(i == r) for i in range(n)] for r, row in enumerate(a)]
+    prev = 1
+    for k in range(n):
+        p = next((i for i in range(k, n) if rows[i][k]), None)
+        if p is None:
+            raise SingularMatrix(f"no unit pivot in column {k}")
+        rows[k], rows[p] = rows[p], rows[k]
+        top = rows[k]
+        for i, row in enumerate(rows):
+            if i != k:
+                f = row[k]
+                row[:] = [(top[k] * x - f * y) // prev for x, y in zip(row, top)]
+        prev = top[k]
+    return [row[n:] for row in rows], prev
 
 
 # -- exact elimination: over the RatFn field, and over Scalar by units --
@@ -315,8 +460,8 @@ class Elimination:
     """Sparse Gauss-Jordan elimination that records its row operations.
 
     Entries are RatFns (a field).  The elimination itself also runs on
-    Scalars and HSeries (local rings, where only a unit can pivot), which is
-    what LegMatrix.inv uses; solve() and kernel() are for RatFn entries only.
+    Scalars (a local ring, where only a unit can pivot), which is what
+    LegMatrix.inv uses; solve() and kernel() are for RatFn entries only.
     rows are sparse ({col: entry}, zeros omitted) and are reduced in place
     to reduced row echelon form in their first ncols columns; entries at
     columns >= ncols ride along but are never pivoted on.  Columns are taken left to right; a column pivots on the
@@ -491,8 +636,8 @@ def _small_integers():
 def certified_grade(factors, residual, D: int, mode: str = ADDITIVE) -> int | None:
     """residual(factors).first_nonzero_grade(), decided at a few points.
 
-    factors are LegMatrices; residual maps them, or the same factors
-    evaluated at a point (HSeries entries), to a LegMatrix whose grade-g
+    factors are symbolic LegMatrices; residual maps them, or the same
+    factors evaluated at a point, to a LegMatrix whose grade-g
     entries are Q-linear combinations of products taking at most one entry
     from each factor.  Evaluation at a point that is no
     pole commutes with the ring operations, and Lambda_g times the grade-g
@@ -512,8 +657,7 @@ def certified_grade(factors, residual, D: int, mode: str = ADDITIVE) -> int | No
         if (mode != ADDITIVE and x == 0) or any(peval(lam, x) == 0 for lam in lams):
             continue
         p = Point.of(x, D, mode)
-        at_p = [f.map_entries(lambda s: s.eval(p)) for f in factors]
-        grade = residual(at_p).first_nonzero_grade()
+        grade = residual([f.at(p) for f in factors]).first_nonzero_grade()
         best = least_grade([best, grade])
         used += 1
     return best

@@ -149,7 +149,7 @@ def permutation_contract(coeffs: dict, mats) -> LegMatrix:
     sub = LegShape(mats[0].shape.dims[1:])
     D, mode = mats[0].D, mats[0].mode
     blocks = [aux_blocks(mk) for mk in mats]
-    out = LegMatrix.zero(sub, D, mode)
+    out = LegMatrix(sub, {}, D, mode)
     for idx in sorted(coeffs):
         prod = LegMatrix.product(
             (blocks[k][(k, ik)] for k, ik in enumerate(idx)), sub, D, mode

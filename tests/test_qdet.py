@@ -206,11 +206,11 @@ class TestLiftGuards:
 
 
 def random_operators(rng: Random, N: int, m: int = 2, D: int = 2):
-    """N operators on [N, m], about half their entries small-integer
-    HSeries and the rest zero."""
+    """N evaluated operators on [N, m], about half their entries
+    small-integer HSeries and the rest zero."""
     shape = LegShape([N, m])
     return [
-        LegMatrix(shape, {
+        LegMatrix.from_values(shape, {
             (r, c): HSeries([rng.randint(-3, 3) for _ in range(D + 1)])
             for r in range(shape.total)
             for c in range(shape.total)

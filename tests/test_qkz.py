@@ -20,6 +20,7 @@ from qkzkit.qkz import (
 )
 from qkzkit.reps import ComoduleWord, build_braiding
 from qkzkit.scalar import Scalar
+from qkzkit.suites import run_checks, suite_qkz
 from qkzkit.tensor import LegMatrix, least_grade
 
 
@@ -128,14 +129,19 @@ class TestEvaluatedPath:
         assert nf_rat2.D == 4
         assert check_flatness(inst, drop_step_shift=True) == 2
 
-    def test_operators_have_hseries_entries(self, nf_rat2):
+    def test_operators_are_evaluated_over_one_denominator(self, nf_rat2):
         inst = make_instance(nf_rat2, 3)
         beta = build_braiding(
             nf_rat2, inst.words[0], inst.words[1], ArgShift.of(2, nf_rat2.D),
             value=True,
         )
         for m in (build_nabla(inst, 2), beta):
-            assert all(isinstance(v, HSeries) for v in m.entries.values())
+            assert isinstance(m.den, int) and m.den > 0
+            assert all(
+                isinstance(v, tuple) and len(v) == nf_rat2.D + 1
+                and all(isinstance(x, int) for x in v)
+                for v in m.entries.values()
+            )
 
     def test_each_unstepped_nabla_is_built_once(self, nf_rat2, monkeypatch):
         inst = make_instance(nf_rat2, 3)
@@ -150,6 +156,24 @@ class TestEvaluatedPath:
         assert check_flatness(inst) is None
         # three unstepped operators, and two stepped ones per index pair
         assert calls.count(True) == 3 and calls.count(False) == 6
+
+    def test_suite_builds_each_distinct_nabla_once(self, nf_rat2, monkeypatch):
+        # flatness, equivariance and quasiclassical rows share one operator
+        # per instance, index and point tuple
+        inst = self.five_points(nf_rat2)
+        built = []
+        build = qkz.build_nabla
+
+        def recording(inst, i, z=None):
+            built.append((inst.words, inst.K, i, inst.z if z is None else z))
+            return build(inst, i, z)
+
+        monkeypatch.setattr(qkz, "build_nabla", recording)
+        results = run_checks(suite_qkz(nf_rat2, [inst]))
+        assert all(r.passed for r in results)
+        # 5 unstepped, 20 stepped by flatness, 4 on the swapped instances of
+        # equivariance; 38 builds before the operators were shared
+        assert len(built) == len(set(built)) == 29
 
 
 class TestFlatness:

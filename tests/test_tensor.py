@@ -168,7 +168,7 @@ class TestInverse:
         assert m.inv() * m == ident
 
     def test_singular_raises(self):
-        z = LegMatrix.zero(LegShape([2, 2]), D)
+        z = LegMatrix(LegShape([2, 2]), {}, D)
         with pytest.raises(SingularMatrix):
             z.inv()
 
@@ -318,10 +318,13 @@ class TestEvaluatedEntries:
     def test_zero_and_one_from_the_entry_ring(self):
         shape = LegShape([2])
         one = HSeries.constant(1, 2)
-        m = LegMatrix(shape, {(0, 0): one.scale(3), (1, 1): one}, 2)
-        assert m.get(0, 1) == HSeries.zero(2)
-        assert all(isinstance(v, HSeries) for v in m.inv().entries.values())
-        assert m.inv() * m == LegMatrix.identity(shape, 2)
+        m = LegMatrix.from_values(shape, {(0, 0): one.scale(3), (1, 1): one}, 2)
+        assert m.get(0, 1) == HSeries.zero(2) and m.get(0, 0) == one.scale(3)
+        inv = m.inv()
+        assert inv.den is not None
+        assert all(isinstance(v, tuple) and len(v) == 3 for v in inv.entries.values())
+        assert inv * m == LegMatrix.identity(shape, 2, evaluated=True)
+        assert inv * m == LegMatrix.identity(shape, 2)
         assert m.grade_matrix(0) == m and m.grade_matrix(1).is_zero
         # mixed with a symbolic operator, the product is over k(w)[[h]]
         w = LegMatrix.identity(shape, 2).mul_scalar(Scalar.coordinate(2))
@@ -331,16 +334,24 @@ class TestEvaluatedEntries:
 
 # -- products: each distinct entry product and entry sum once -------------
 
+def entries_of(m) -> dict:
+    """The entries of m: Scalars, or HSeries when m is evaluated."""
+    if m.den is None:
+        return m.entries
+    return {k: m.get(*k) for k in m.entries}
+
+
 def naive_product(a, b):
     """The dense triple loop: entry (i, j) is the sum over k of
-    a[i, k] b[k, j], zeros omitted."""
+    a[i, k] b[k, j], zeros omitted, over Scalar or HSeries entries."""
     n = a.shape.total
+    ea, eb = entries_of(a), entries_of(b)
     out = {}
     for i in range(n):
         for j in range(n):
             acc = None
             for k in range(n):
-                x, y = a.entries.get((i, k)), b.entries.get((k, j))
+                x, y = ea.get((i, k)), eb.get((k, j))
                 if x is not None and y is not None:
                     acc = x * y if acc is None else acc + x * y
             if acc is not None and not acc.is_zero:
@@ -366,8 +377,9 @@ def shared_pair(draw, ring):
             )
         pool += [x, -x]
     keys = st.tuples(st.integers(0, shape.total - 1), st.integers(0, shape.total - 1))
+    build = LegMatrix if ring == "scalar" else LegMatrix.from_values
     mats = [
-        LegMatrix(
+        build(
             shape,
             draw(st.dictionaries(keys, st.sampled_from(pool), max_size=12)),
             d,
@@ -384,31 +396,25 @@ class TestSharedProduct:
     def test_matches_naive_product(self, ring, data):
         a, b = data.draw(shared_pair(ring))
         prod = a * b
-        assert prod.entries == naive_product(a, b)
-        assert all(not v.is_zero for v in prod.entries.values())
+        assert entries_of(prod) == naive_product(a, b)
+        assert all(any(v) if prod.den else v for v in prod.entries.values())
 
     def test_cancelling_sum_is_absent(self):
         shape = LegShape([2])
         x = HSeries([1, 2, 0])
-        a = LegMatrix(shape, {(0, 0): x, (0, 1): x, (1, 0): x}, 2)
-        b = LegMatrix(shape, {(0, 0): x, (1, 0): -x, (1, 1): x}, 2)
+        a = LegMatrix.from_values(shape, {(0, 0): x, (0, 1): x, (1, 0): x}, 2)
+        b = LegMatrix.from_values(shape, {(0, 0): x, (1, 0): -x, (1, 1): x}, 2)
         prod = a * b
         assert (0, 0) not in prod.entries
-        assert prod.entries == naive_product(a, b)
+        assert entries_of(prod) == naive_product(a, b)
         # (0, 1) and (1, 0) have the same terms: one shared object
         assert prod.entries[(0, 1)] is prod.entries[(1, 0)]
 
-    @pytest.mark.parametrize("ring", [Scalar, HSeries])
+    @pytest.mark.parametrize("ring", [Scalar])
     def test_each_object_pair_multiplied_once(self, ring, monkeypatch):
-        if ring is Scalar:
-            F = build_rational(2, 2)
-            m = F.r(ArgShift.of(Fraction(1), 2)).embed(LegShape([2] * 3), (1, 2))
-            other = F.base.embed(LegShape([2] * 3), (2, 1))
-        else:
-            x, y = HSeries([1, 1, 0]), HSeries([2, 0, 1])
-            shape = LegShape([2, 2])
-            m = LegMatrix(shape, {(i, j): x for i in range(4) for j in range(4)}, 2)
-            other = LegMatrix(shape, {(i, i): y for i in range(4)}, 2)
+        F = build_rational(2, 2)
+        m = F.r(ArgShift.of(Fraction(1), 2)).embed(LegShape([2] * 3), (1, 2))
+        other = F.base.embed(LegShape([2] * 3), (2, 1))
         pairs = []
         orig = ring.__mul__
 
@@ -421,6 +427,30 @@ class TestSharedProduct:
         monkeypatch.setattr(ring, "__mul__", orig)
         assert pairs and len(pairs) == len(set(pairs))
         assert prod.entries == naive_product(m, other)
+
+    def test_each_term_sequence_convolved_once(self, monkeypatch):
+        # an evaluated product sums each distinct sequence of entry objects
+        # once, and equal sequences share the result
+        import qkzkit.tensor as tensor
+
+        x, y = HSeries([1, 1, 0]), HSeries([2, 0, 1])
+        shape = LegShape([2, 2])
+        m = LegMatrix.from_values(
+            shape, {(i, j): x for i in range(4) for j in range(4)}, 2
+        )
+        other = LegMatrix.from_values(shape, {(i, i): y for i in range(4)}, 2)
+        seqs = []
+        convolution_sum = tensor._convolution_sum
+
+        def recording(objs, n, ids):
+            seqs.append(ids)
+            return convolution_sum(objs, n, ids)
+
+        monkeypatch.setattr(tensor, "_convolution_sum", recording)
+        prod = m * other
+        assert len(seqs) == len(set(seqs)) == 1
+        assert len({id(v) for v in prod.entries.values()}) == 1
+        assert entries_of(prod) == naive_product(m, other)
 
     def test_rational_n4_ladder_is_cheap(self, monkeypatch):
         # the full ladder of the rational N = 4, D = 4 determinant factors:
