@@ -4,6 +4,8 @@ import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qkzkit.cache import ENV_VAR, _key, _payload_digest, cache_dir, load_normalized
 from qkzkit.cli import EXIT_OK, run
@@ -181,3 +183,34 @@ class TestCache:
         monkeypatch.setattr(os, "replace", recording)
         load_normalized(F)
         assert replaced == [(f"{_key(F)}.4242.tmp", f"{_key(F)}.json")]
+
+
+#: JSON values: the shapes a cache payload is built from
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+class TestLayoutPin:
+    """Entry file names and digests written by earlier versions stay valid."""
+
+    def test_rational_n4_key(self):
+        assert _key(build_rational(4, 4)) == "662e0cde55d5bfe944aa7433"
+
+    def test_golden_n4_payload_digest(self):
+        golden = json.loads((GOLDEN / "normalize-rational-N4-D4.json").read_text())
+        payload = {key: golden[key] for key in ("descriptor", "f0")}
+        assert _payload_digest(payload) == (
+            "c17fc529d38c95687445e255cd4f8227b10cf9faa8f50c8c3bffc960333e2e98"
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.dictionaries(st.text(max_size=8), _json, max_size=4))
+    def test_digest_is_sha256_of_sorted_json(self, payload):
+        import hashlib
+
+        text = json.dumps(payload, sort_keys=True)
+        assert _payload_digest(payload) == hashlib.sha256(text.encode()).hexdigest()
