@@ -10,11 +10,20 @@ keys (rho, the eigenvalue, the coefficients) is read for f0 alone.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import warnings
 from pathlib import Path
+
+# CPython's built-in SHA-256, as random.py takes its SHA-512: hashlib would
+# load OpenSSL's libcrypto for one digest of a few hundred bytes
+try:
+    from _sha2 import sha256  # 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256  # 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
 
 from .families import RMatrixFamily
 from .qdet import NormalizedFamily, normalize
@@ -32,12 +41,12 @@ def cache_dir() -> Path:
 
 def _key(F: RMatrixFamily) -> str:
     text = json.dumps(F.descriptor(), sort_keys=True)
-    return hashlib.sha256(text.encode()).hexdigest()[:24]
+    return sha256(text.encode()).hexdigest()[:24]
 
 
 def _payload_digest(payload: dict) -> str:
     text = json.dumps(payload, sort_keys=True)
-    return hashlib.sha256(text.encode()).hexdigest()
+    return sha256(text.encode()).hexdigest()
 
 
 def _encode(nf: NormalizedFamily) -> dict:

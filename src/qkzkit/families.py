@@ -8,7 +8,6 @@ by deterministic rationals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import KernelError, PoleError
@@ -35,17 +34,31 @@ SAMPLE_POOL = [
 ]
 
 
-@dataclass(frozen=True)
 class ArgShift:
     """Spectral-argument displacement of the symbolic coordinate.
 
     Additive mode: w -> w + const + hpart.
     Multiplicative mode: w -> const * w * exp(hpart); const is a group
     element, hpart a formal-neighborhood exponent with zero h^0 part.
+    A value: equal displacements compare and hash equal.
     """
 
-    const: Fraction
-    hpart: HSeries
+    __slots__ = ("const", "hpart")
+
+    def __init__(self, const: Fraction, hpart: HSeries):
+        self.const = const
+        self.hpart = hpart
+
+    def __eq__(self, other):
+        if other.__class__ is not ArgShift:
+            return NotImplemented
+        return self.const == other.const and self.hpart == other.hpart
+
+    def __hash__(self):
+        return hash((self.const, self.hpart))
+
+    def __repr__(self):
+        return f"ArgShift(const={self.const!r}, hpart={self.hpart!r})"
 
     @staticmethod
     def none(D: int, mode: str) -> "ArgShift":

@@ -8,8 +8,6 @@ evaluated at differences of base points, acting on the full fiber.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-
 from .errors import ShapeMismatch
 from .families import ArgShift
 from .hseries import HSeries
@@ -21,19 +19,19 @@ from .tensor import LegMatrix, LegShape, least_grade
 FAULTS = ("drop-step-shift",)
 
 
-@dataclass(frozen=True)
 class QKZInstance:
-    nf: NormalizedFamily
-    z: tuple  # ArgShift per point
-    words: tuple  # ComoduleWord per point
-    K: HSeries
-    _nablas: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    __slots__ = ("nf", "z", "words", "K", "_nablas")
 
-    def __post_init__(self):
-        if len(self.z) != len(self.words):
+    def __init__(self, nf: NormalizedFamily, z: tuple, words: tuple, K: HSeries):
+        if len(z) != len(words):
             raise ShapeMismatch("one word per base point required")
-        if self.K.truncation != self.nf.D:
+        if K.truncation != nf.D:
             raise ShapeMismatch("central charge has wrong truncation")
+        self.nf = nf
+        self.z = z  # ArgShift per point
+        self.words = words  # ComoduleWord per point
+        self.K = K
+        self._nablas = {}  # see nabla
 
     @property
     def n(self) -> int:
@@ -148,8 +146,9 @@ def check_commutativity_at_zero_step(inst: QKZInstance):
     commutativity of the nabla's at a fixed base point: each flatness
     residual is minus a commutator.  Returns the least first nonzero grade
     of the commutators, or None."""
+    nf = inst.nf
     return check_flatness(
-        replace(inst, K=HSeries.constant(-inst.nf.N, inst.nf.D))
+        QKZInstance(nf, inst.z, inst.words, HSeries.constant(-nf.N, nf.D))
     )
 
 

@@ -8,8 +8,6 @@ leg swap composed with the inverse of R_VW.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import ShapeMismatch
 from .families import ArgShift, ladder, shift_add, shift_sub
 from .hseries import HSeries
@@ -17,11 +15,24 @@ from .qdet import NormalizedFamily
 from .tensor import LegMatrix, LegShape, least_grade
 
 
-@dataclass(frozen=True)
 class ComoduleWord:
     """An ordered tuple of argument displacements, one per tensor factor."""
 
-    letters: tuple
+    __slots__ = ("letters",)
+
+    def __init__(self, letters: tuple):
+        self.letters = letters
+
+    def __eq__(self, other):
+        if other.__class__ is not ComoduleWord:
+            return NotImplemented
+        return self.letters == other.letters
+
+    def __hash__(self):
+        return hash(self.letters)
+
+    def __repr__(self):
+        return f"ComoduleWord(letters={self.letters!r})"
 
     @staticmethod
     def of(values, D: int) -> "ComoduleWord":

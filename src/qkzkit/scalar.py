@@ -284,15 +284,5 @@ class Point:
     def of(c, D: int, mode: str = ADDITIVE) -> "Point":
         return Point(HSeries.constant(c, D), mode)
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Point)
-            and self.mode == other.mode
-            and self.value == other.value
-        )
-
-    def __hash__(self):
-        return hash((self.value, self.mode))
-
     def __repr__(self):
         return f"Point({self.value!r}, {self.mode})"

@@ -8,7 +8,6 @@ h-grade; the rows run serially, in order, into a deterministic report.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import __version__
@@ -45,14 +44,24 @@ STATUS_FAIL = "fails-at-grade-{}"
 STATUS_ERROR = "error"
 
 
-@dataclass
 class CheckResult:
-    name: str
-    identity: str  # which identity the check exercises, in plain words
-    status: str
-    grade: int | None = None
-    wall_time_ms: float = 0.0
-    detail: str = ""
+    __slots__ = ("name", "identity", "status", "grade", "wall_time_ms", "detail")
+
+    def __init__(
+        self,
+        name: str,
+        identity: str,  # which identity the check exercises, in plain words
+        status: str,
+        grade: int | None = None,
+        wall_time_ms: float = 0.0,
+        detail: str = "",
+    ):
+        self.name = name
+        self.identity = identity
+        self.status = status
+        self.grade = grade
+        self.wall_time_ms = wall_time_ms
+        self.detail = detail
 
     @property
     def passed(self) -> bool:

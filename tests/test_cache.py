@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -7,7 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qkzkit.cache import ENV_VAR, _key, _payload_digest, cache_dir, load_normalized
+from qkzkit.cache import (
+    ENV_VAR,
+    _key,
+    _payload_digest,
+    cache_dir,
+    load_normalized,
+    sha256,
+)
 from qkzkit.cli import EXIT_OK, run
 from qkzkit.families import build_rational
 from qkzkit.serialize import list_to_scalar
@@ -206,6 +215,21 @@ class TestLayoutPin:
         assert _payload_digest(payload) == (
             "c17fc529d38c95687445e255cd4f8227b10cf9faa8f50c8c3bffc960333e2e98"
         )
+
+    def test_hashlib_fallback_gives_the_same_digest(self):
+        # without CPython's built-in modules the digest comes from hashlib
+        code = (
+            "import sys; sys.modules['_sha2'] = sys.modules['_sha256'] = None; "
+            "from qkzkit.cache import sha256; "
+            "print(sha256.__module__, sha256(b'qkzkit').hexdigest())"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src"))
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True,
+            text=True, check=True,
+        ).stdout.split()
+        assert out[0] in ("_hashlib", "hashlib")
+        assert out[1] == sha256(b"qkzkit").hexdigest()
 
     @settings(max_examples=200, deadline=None)
     @given(st.dictionaries(st.text(max_size=8), _json, max_size=4))

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -346,3 +350,21 @@ class TestReports:
             }],
         )
         assert run(["--config", cfg]) == EXIT_OK
+
+
+class TestImportPath:
+    def test_cli_loads_no_heavy_stdlib(self):
+        # hashlib loads OpenSSL's libcrypto and dataclasses loads inspect;
+        # a verdict needs neither, and each costs a CLI process milliseconds
+        heavy = ["hashlib", "_hashlib", "dataclasses", "inspect"]
+        code = (
+            "import sys, qkzkit.cli; "
+            f"print([m for m in {heavy!r} if m in sys.modules])"
+        )
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True,
+            text=True, check=True,
+        ).stdout
+        assert out.strip() == "[]"

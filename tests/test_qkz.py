@@ -76,6 +76,61 @@ class TestInstance:
         again = inst.swapped(1).swapped(1)
         assert again.z == inst.z and again.words == inst.words
 
+    def test_central_charge_truncation_must_match(self, nf_rat2):
+        inst = make_instance(nf_rat2, 2)
+        with pytest.raises(ShapeMismatch, match="truncation"):
+            QKZInstance(nf_rat2, inst.z, inst.words, HSeries.constant(1, nf_rat2.D + 1))
+
+    def test_zero_step_gets_a_fresh_memo(self, nf_rat2, monkeypatch):
+        # the zero-step instance has another K, so it must not reuse the
+        # nabla's that check_flatness stored on the instance it came from
+        inst = make_instance(planted_nf(nf_rat2, 2), 3)
+        fresh = check_commutativity_at_zero_step(make_instance(inst.nf, 3))
+        check_flatness(inst)
+        assert inst._nablas
+        seen = []
+        real = qkz.check_flatness
+
+        def recording(zero_k, *args):
+            seen.append(zero_k)
+            return real(zero_k, *args)
+
+        monkeypatch.setattr(qkz, "check_flatness", recording)
+        assert check_commutativity_at_zero_step(inst) == fresh == 4
+        [zero_k] = seen
+        assert zero_k._nablas is not inst._nablas
+        assert zero_k.K.constant_part == -nf_rat2.N
+
+
+class TestValueTypes:
+    """ArgShift and ComoduleWord are values: the r_value memo and the
+    nabla memo key on them, and their reprs can reach a report's detail."""
+
+    def test_equal_shifts_compare_and_hash_equal(self):
+        a = ArgShift(Fraction(2), HSeries.h(4).scale(Fraction(7, 2)))
+        b = ArgShift(Fraction(2), HSeries.h(4).scale(Fraction(7, 2)))
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert a != ArgShift.of(2, 4) and a != (a.const, a.hpart)
+
+    def test_equal_words_compare_and_hash_equal(self):
+        v = ComoduleWord.of([Fraction(0), Fraction(1, 2)], 4)
+        w = ComoduleWord.of([Fraction(0), Fraction(1, 2)], 4)
+        assert v is not w and v == w and hash(v) == hash(w)
+        assert v != ComoduleWord(v.letters[:1])
+
+    def test_r_value_memo_keys_on_the_value(self, nf_rat2):
+        a = ArgShift.of(Fraction(5, 3), nf_rat2.D)
+        b = ArgShift.of(Fraction(5, 3), nf_rat2.D)
+        assert nf_rat2.r_value(a) is nf_rat2.r_value(b)
+
+    def test_reprs_keep_the_field_form(self):
+        a = ArgShift.of(Fraction(1, 2), 1)
+        assert repr(a) == (
+            "ArgShift(const=Fraction(1, 2), "
+            "hpart=HSeries('0/1,0/1'))"
+        )
+        assert repr(ComoduleWord((a,))) == f"ComoduleWord(letters=({a!r},))"
+
 
 class TestNabla:
     def test_leading_grade_is_identity(self, nf_rat2):
