@@ -31,7 +31,7 @@ class QKZInstance:
         self.z = z  # ArgShift per point
         self.words = words  # ComoduleWord per point
         self.K = K
-        self._nablas = {}  # see nabla
+        self._nablas = {}  # (i, point tuple) -> nabla_i, filled by nabla
 
     @property
     def n(self) -> int:
