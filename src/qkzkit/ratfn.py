@@ -283,8 +283,8 @@ class RatFn:
 
     @property
     def is_unit(self) -> bool:
-        """Every nonzero element of the field is a unit.  Same as bool();
-        spelled out so Elimination can ask RatFn and Scalar entries alike."""
+        """Same as bool(): every nonzero element of the field is a unit.
+        Elimination asks RatFns and local-ring entries alike for a unit."""
         return self.p != 0
 
     # -- ring ops -----------------------------------------------------

@@ -9,8 +9,9 @@ numerators of its h-grades.  Evaluated products and sums therefore run no
 gcd and build no object per term.  An evaluated operator that meets a
 symbolic one is lifted into k(w)[[h]] first, each distinct entry once.  A
 product computes each distinct entry sum once; equal term sequences share
-one entry object.  Row/column indices enumerate multi-indices in row-major
-leg order.  Legs are 1-based.
+one entry object.  Both forms invert by one algorithm, a fraction-free
+inverse of the h^0 grade lifted h-adically over sparse grade rows.  Indices
+enumerate multi-indices in row-major leg order; legs are 1-based.
 
 certified_grade decides the first failing grade of a product identity
 exactly from the identity evaluated at a few points of the curve.
@@ -21,7 +22,7 @@ from __future__ import annotations
 from functools import partial
 from itertools import count
 from math import gcd, lcm
-from operator import add, mul, neg
+from operator import add, floordiv, neg, truediv
 
 from .errors import ShapeMismatch, SingularMatrix
 from .hseries import HSeries
@@ -291,52 +292,40 @@ class LegMatrix:
         """Exact inverse; raises SingularMatrix naming the first column with
         no unit pivot, the first whose h^0 grade depends on those before it.
 
-        Symbolic: Gauss-Jordan elimination of the sparse augmented rows
-        [self | Id] with unit pivots; the inverse is read from the pivot
-        rows.  Evaluated: see _inv_evaluated.
+        self = sum_m h^m A_m (over den when evaluated), each A_m read as
+        sparse rows of RatFns or ints.  With A_0 adj = det Id, the inverse
+        of sum_m h^m A_m is sum_m h^m E_m / det^(m+1), E_0 = adj and E_m =
+        -adj sum_{k=1..m} det^(k-1) A_k E_{m-k}.  Over the RatFn field adj
+        is divided by det once, so that det is 1.  Only reading the grades
+        and writing the entries depend on the form.
         """
-        if self.den is not None:
-            return self._inv_evaluated()
-        n = self.shape.total
-        one = Scalar.one(self.D, self.mode)
-        rows = [{n + r: one} for r in range(n)]
+        n, D, den = self.shape.total, self.D, self.den
+        one, div = (RF_ONE, truediv) if den is None else (1, floordiv)
+        a = [[{} for _ in range(n)] for _ in range(D + 1)]
         for (r, c), v in self.entries.items():
-            rows[r][c] = v
-        e = Elimination(rows, n)
-        if len(e.pivots) < n:
-            col = min(set(range(n)) - {c for c, _ in e.pivots})
-            raise SingularMatrix(f"no unit pivot in column {col}")
-        out = {}
-        for c, p in e.pivots:
-            for k, v in e.rows[p].items():
-                if k >= n:
-                    out[(c, k - n)] = v
-        return LegMatrix(self.shape, out, self.D, self.mode)
-
-    def _inv_evaluated(self) -> "LegMatrix":
-        """self = sum_m h^m A_m / den.  With A_0 adj = det Id, the inverse of
-        sum_m h^m A_m is sum_m h^m E_m / det^(m+1), E_0 = adj and E_m =
-        -adj sum_{k=1..m} det^(k-1) A_k E_{m-k}; reduced by its content."""
-        n, D = self.shape.total, self.D
-        a = [[[0] * n for _ in range(n)] for _ in range(D + 1)]
-        for (r, c), v in self.entries.items():
-            for m, x in enumerate(v):
-                a[m][r][c] = x
-        adj, det = _bareiss_inverse(a[0])
-        e = [adj]
+            for m, x in enumerate(v.grades if den is None else v):
+                if x:
+                    a[m][r][c] = x
+        adj, det = _bareiss_inverse(a[0], one, div)
+        if den is None and det != one:
+            adj, det = [{c: x / det for c, x in row.items()} for row in adj], one
+        e, f = [adj], -one
         for m in range(1, D + 1):
-            # [A_1 ... A_m] times the stacked det^(k-1) E_{m-k}
-            left = [sum((a[k][r] for k in range(1, m + 1)), []) for r in range(n)]
-            right = [[det ** (k - 1) * x for x in row]
-                     for k in range(1, m + 1) for row in e[m - k]]
-            e.append([[-x for x in row] for row in _matmul(adj, _matmul(left, right))])
-        sign = -1 if det ** (D + 1) < 0 else 1
-        scale = [sign * self.den * det ** (D - m) for m in range(D + 1)]
-        out = {(r, c): tuple(em[r][c] * f for em, f in zip(e, scale))
-               for r in range(n) for c in range(n)}
-        g = gcd(det ** (D + 1), *(x for v in out.values() for x in v))
+            a[m] = [{c: x * f for c, x in row.items()} for row in a[m]]
+            f = f * det  # a[k] is now -det^(k-1) A_k for k <= m
+            s = _sum_of_products([(a[k], e[m - k]) for k in range(1, m + 1)])
+            e.append(_sum_of_products([(adj, s)]))
+        keys = [(r, c) for r in range(n) for c in set().union(*(em[r] for em in e))]
+        if den is None:
+            out = {(r, c): Scalar([em[r].get(c, RF_ZERO) for em in e], self.mode)
+                   for r, c in keys}
+            return LegMatrix(self.shape, out, D, self.mode)
+        dd, scale = det ** (D + 1), [den * det ** (D - m) for m in range(D + 1)]
+        out = {(r, c): tuple(em[r].get(c, 0) * x for em, x in zip(e, scale))
+               for r, c in keys}
+        g = gcd(dd, *(x for v in out.values() for x in v)) * (1 if dd > 0 else -1)
         out = {k: tuple(x // g for x in v) for k, v in out.items()}
-        return LegMatrix(self.shape, out, D, self.mode, abs(det) ** (D + 1) // g)
+        return LegMatrix(self.shape, out, D, self.mode, dd // g)
 
     def theta(self) -> "LegMatrix":
         """(X^{-1}) transposed in leg 1."""
@@ -426,32 +415,45 @@ def _convolution_sum(objs: dict, n: int, ids: tuple):
     return tuple(out) if any(out) else None
 
 
-def _matmul(a, b) -> list:
-    """The dense integer product of two matrices given as rows."""
-    cols = list(zip(*b))
-    return [[sum(map(mul, row, col)) for col in cols] for row in a]
+def _sum_of_products(pairs) -> list:
+    """sum_i a_i b_i over the pairs (a_i, b_i) of square matrices given as
+    sparse rows ({col: entry}, zeros omitted), in the same form."""
+    out = [{} for _ in pairs[0][0]]
+    for a, b in pairs:
+        for acc, row in zip(out, a):
+            for k, x in row.items():
+                for c, y in b[k].items():
+                    acc[c] = acc[c] + x * y if c in acc else x * y
+    return [{c: v for c, v in acc.items() if v} for acc in out]
 
 
-def _bareiss_inverse(a) -> tuple:
-    """(adj, det) with a adj = det Id for the square integer matrix a, by
+def _bareiss_inverse(a, one, div) -> tuple:
+    """(adj, det) with a adj = det Id for a square matrix of sparse rows over
+    the integers (div floordiv) or the RatFn field (div truediv), by
     fraction-free Gauss-Jordan elimination (Bareiss 1968): every division
-    is exact and no fraction is built.  Raises SingularMatrix naming the
+    is exact.  A row with no entry in the pivot column is left alone when
+    the pivot equals the previous one.  Raises SingularMatrix naming the
     first column that depends on the columns before it."""
     n = len(a)
-    rows = [list(row) + [int(i == r) for i in range(n)] for r, row in enumerate(a)]
-    prev = 1
+    rows, prev = [{**row, n + r: one} for r, row in enumerate(a)], one
     for k in range(n):
-        p = next((i for i in range(k, n) if rows[i][k]), None)
+        p = next((i for i in range(k, n) if k in rows[i]), None)
         if p is None:
             raise SingularMatrix(f"no unit pivot in column {k}")
         rows[k], rows[p] = rows[p], rows[k]
         top = rows[k]
+        t = top[k]
         for i, row in enumerate(rows):
-            if i != k:
-                f = row[k]
-                row[:] = [(top[k] * x - f * y) // prev for x, y in zip(row, top)]
-        prev = top[k]
-    return [row[n:] for row in rows], prev
+            f = row.get(k)
+            if i == k or (f is None and t == prev):
+                continue
+            new = {c: t * x for c, x in row.items()}
+            if f is not None:
+                for c, y in top.items():
+                    new[c] = new[c] - f * y if c in new else -(f * y)
+            rows[i] = {c: div(v, prev) for c, v in new.items() if v}
+        prev = t
+    return [{c - n: x for c, x in row.items() if c >= n} for row in rows], prev
 
 
 # -- exact elimination: over the RatFn field, and over Scalar by units --
@@ -459,21 +461,19 @@ def _bareiss_inverse(a) -> tuple:
 class Elimination:
     """Sparse Gauss-Jordan elimination that records its row operations.
 
-    Entries are RatFns (a field).  The elimination itself also runs on
-    Scalars (a local ring, where only a unit can pivot), which is what
-    LegMatrix.inv uses; solve() and kernel() are for RatFn entries only.
+    rref, solve_linear and kernel_basis run it over the RatFn field; it
+    also runs over a local ring such as Scalar, where only a unit can pivot.
     rows are sparse ({col: entry}, zeros omitted) and are reduced in place
-    to reduced row echelon form in their first ncols columns; entries at
-    columns >= ncols ride along but are never pivoted on.  Columns are taken left to right; a column pivots on the
-    lowest-index remaining row whose entry is a unit and is skipped when
-    there is none, so over RatFn the pivot columns, the reduced pivot rows
-    and the solutions are those of the dense textbook algorithm; only the
-    nonzero entries of a pivot row are touched.
+    to reduced row echelon form in their first ncols columns; later columns
+    ride along unpivoted.  A column pivots on the lowest-index remaining row
+    whose entry is a unit and is skipped when there is none, so over RatFn
+    the result is the dense textbook one, while only the nonzero entries of
+    a pivot row are touched.
 
     Step k is recorded as (pivot row, inverse lead, [(row, factor), ...]):
     scale the pivot row by the inverse lead, then subtract factor times it
-    from each listed row.  solve() replays the same steps on a right-hand
-    side, so one elimination serves every right-hand side.
+    from each listed row.  solve() replays the steps on a right-hand side
+    and kernel() reads the reduced rows, both for RatFn entries only.
     """
 
     def __init__(self, rows, ncols: int):

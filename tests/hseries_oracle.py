@@ -6,8 +6,9 @@ LegShape.  product is the shared-entry product that operators evaluated at
 a point ran before they moved to integer entries: each distinct entry
 product and each distinct entry sum once, keyed by object identity, every
 HSeries operation normalized by a gcd.  inverse is the unit-pivot
-Gauss-Jordan elimination of [m | Id] over HSeries.  view reads an
-evaluated LegMatrix back as such a dict.
+Gauss-Jordan elimination of [m | Id] over HSeries or Scalar entries, the
+reference for LegMatrix.inv in both forms.  view reads an evaluated
+LegMatrix back as such a dict.
 """
 
 from qkzkit.errors import SingularMatrix
@@ -83,10 +84,10 @@ def first_nonzero_grade(a: dict):
     return min((v.first_nonzero_grade() for v in a.values()), default=None)
 
 
-def inverse(a: dict, n: int, D: int) -> dict:
-    """Gauss-Jordan elimination of [a | Id] with unit pivots; raises
-    SingularMatrix naming the first column with no unit pivot."""
-    one = HSeries.constant(1, D)
+def inverse(a: dict, n: int, one) -> dict:
+    """Gauss-Jordan elimination of [a | Id] with unit pivots over the ring of
+    one, HSeries or Scalar; raises SingularMatrix naming the first column
+    with no unit pivot."""
     rows = [{n + r: one} for r in range(n)]
     for (r, c), v in a.items():
         rows[r][c] = v

@@ -4,12 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hseries_oracle as oracle
+from qkzkit import tensor
 from qkzkit.errors import ShapeMismatch, SingularMatrix
 from qkzkit.families import ArgShift, build_rational, ladder_factors
 from qkzkit.hseries import HSeries
 from qkzkit.ratfn import RF_ONE, RF_ZERO, RatFn
 from qkzkit.qdet import ladder_shifts
-from qkzkit.scalar import ADDITIVE, MULTIPLICATIVE, Scalar
+from qkzkit.scalar import ADDITIVE, MULTIPLICATIVE, Point, Scalar
 from qkzkit.tensor import (
     Elimination,
     LegMatrix,
@@ -158,6 +160,38 @@ def invertible_matrices(draw):
     return LegMatrix(shape, out, d, mode)
 
 
+@st.composite
+def inverse_cases(draw):
+    """(operator, the oracle's one, the oracle's entries) on shapes [2], [3],
+    [2, 2] and [2, 2, 2], at D from 0 to 4, in either mode and form.  Each
+    grade has about one entry per row; the h^0 grade often gets a diagonal
+    of entries other than +-1 (three draws in four), so its determinant is
+    rarely +-1, and it is singular now and then."""
+    shape = LegShape(draw(st.sampled_from([[2], [3], [2, 2], [2, 2, 2]])))
+    n, d = shape.total, draw(st.integers(0, 4))
+    mode = draw(st.sampled_from([ADDITIVE, MULTIPLICATIVE]))
+    symbolic = draw(st.booleans())
+    grade = entries if symbolic else st.fractions(-3, 3, max_denominator=3)
+    keys = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    grades = [draw(st.dictionaries(keys, grade, max_size=n)) for _ in range(d + 1)]
+    if draw(st.integers(0, 3)):
+        diag = st.sampled_from([2, -2, 3, Fraction(1, 2), Fraction(-3, 2)])
+        for i in range(n):
+            x = draw(diag)
+            grades[0][(i, i)] = RatFn.from_fraction(x) if symbolic else x
+    zero = RF_ZERO if symbolic else 0
+    out = {}
+    for m, g in enumerate(grades):
+        for k, x in g.items():
+            out.setdefault(k, [zero] * (d + 1))[m] = x
+    out = {k: g for k, g in out.items() if any(g)}
+    if symbolic:
+        out = {k: Scalar(g, mode) for k, g in out.items()}
+        return LegMatrix(shape, out, d, mode), Scalar.one(d, mode), out
+    out = {k: HSeries(g) for k, g in out.items()}
+    return LegMatrix.from_values(shape, out, d, mode), HSeries.constant(1, d), out
+
+
 class TestInverse:
     def test_inverse_of_unit_matrix(self):
         w = Scalar.coordinate(D)
@@ -180,19 +214,45 @@ class TestInverse:
         assert m * mi == ident
         assert mi * m == ident
 
+    @given(inverse_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_inverse_matches_the_gauss_jordan_oracle(self, case):
+        # both forms against unit-pivot Gauss-Jordan over their entry ring,
+        # including the SingularMatrix message
+        m, one, a = case
+        try:
+            want = oracle.inverse(a, m.shape.total, one)
+        except SingularMatrix as e:
+            with pytest.raises(SingularMatrix) as got:
+                m.inv()
+            assert str(got.value) == str(e)
+            return
+        got = m.inv()
+        assert (got.entries if m.den is None else oracle.view(got)) == want
+
     def test_inverse_eliminates_once(self, monkeypatch):
+        # one elimination per inverse, of the h^0 grade alone, in both
+        # forms; the h-adic lift solves no system, and no Elimination runs
         calls = []
-        init = Elimination.__init__
+        bareiss = tensor._bareiss_inverse
 
-        def counting(self, rows, ncols):
-            calls.append(ncols)
-            init(self, rows, ncols)
+        def counting(a, one, div):
+            calls.append([dict(row) for row in a])
+            return bareiss(a, one, div)
 
-        monkeypatch.setattr(Elimination, "__init__", counting)
+        def no_elimination(self, rows, ncols):
+            raise AssertionError("LegMatrix.inv ran an Elimination")
+
+        monkeypatch.setattr(tensor, "_bareiss_inverse", counting)
+        monkeypatch.setattr(Elimination, "__init__", no_elimination)
         w = Scalar.coordinate(D)
-        ident = LegMatrix.identity(LegShape([2, 2]), D)
-        (ident + sigma().mul_scalar(w * HSeries.h(D))).inv()
-        assert calls == [4]
+        m = LegMatrix.identity(LegShape([2, 2]), D) + sigma().mul_scalar(
+            w * HSeries.h(D)
+        )
+        for op, one in ((m, RF_ONE), (m.at(Point.of(3, D)), 1)):
+            calls.clear()
+            op.inv()
+            assert calls == [[{i: one} for i in range(4)]]
 
 
 class TestTheta:
