@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import os
 import warnings
+from contextlib import suppress
 from pathlib import Path
 
 # CPython's built-in SHA-256, as random.py takes its SHA-512: hashlib would
@@ -66,8 +67,8 @@ def _decode(payload: dict, F: RMatrixFamily) -> NormalizedFamily:
 
 def load_normalized(F: RMatrixFamily) -> NormalizedFamily:
     """Normalized family via the cache; recomputes (and warns) on a missing,
-    unreadable, malformed or tampered entry, and only warns when the entry
-    cannot be written."""
+    unreadable, malformed or tampered entry, and only warns, leaving no
+    temporary file, when the entry cannot be written."""
     path = cache_dir() / f"{_key(F)}.json"
     if path.exists():
         try:
@@ -94,4 +95,6 @@ def load_normalized(F: RMatrixFamily) -> NormalizedFamily:
         os.replace(tmp, path)
     except OSError as e:
         warnings.warn(f"cache entry {path} not written ({e})")
+        with suppress(OSError):
+            tmp.unlink(missing_ok=True)
     return nf

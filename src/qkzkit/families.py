@@ -297,15 +297,15 @@ def default_samples(F: RMatrixFamily, count: int = 5):
 # -- identity checks ---------------------------------------------------
 
 def _three_leg_factors(F: RMatrixFamily, u2: Fraction, u3: Fraction):
-    """R^{12}(u1 - u2) and R^{13}(u1 - u3), u1 symbolic, and R^{23}(u2 - u3)
-    on legs [N]^3."""
+    """R^{12}(u1 - u2) and R^{13}(u1 - u3), u1 symbolic, and R^{23}(u2 - u3),
+    evaluated and lifted into k(w)[[h]] once, on legs [N]^3."""
     big = LegShape([F.N] * 3)
     sym = ArgShift.none(F.D, F.mode)
     a2, a3 = ArgShift.of(u2, F.D), ArgShift.of(u3, F.D)
     return (
         F.r(shift_sub(sym, a2, F.mode)).embed(big, (1, 2)),
         F.r(shift_sub(sym, a3, F.mode)).embed(big, (1, 3)),
-        F.r_value(shift_sub(a2, a3, F.mode)).embed(big, (2, 3)),
+        F.r_value(shift_sub(a2, a3, F.mode)).symbolic().embed(big, (2, 3)),
     )
 
 

@@ -7,8 +7,8 @@ content, n/d: one common denominator d > 0 over a tuple of ints n, with
 gcd(d, *n) == 1, so a product is one integer convolution through series_mul
 and one gcd, and no Fraction is built.  It carries shift amounts, central
 charges, evaluation points, and the entries of operators evaluated at a
-point.  All operands of a binary operation must share D; a Scalar operand
-is left to Scalar, which lifts the HSeries into k(w)[[h]].
+point.  Both operands of a binary operation are HSeries of one D; mixing
+with a Scalar raises TypeError (Scalar.from_hseries is the explicit lift).
 """
 
 from __future__ import annotations

@@ -13,6 +13,7 @@ from .families import ArgShift
 from .hseries import HSeries
 from .qdet import NormalizedFamily
 from .reps import build_braiding, build_rvw, shift_add, shift_sub
+from .scalar import Scalar
 from .tensor import LegMatrix, LegShape, least_grade
 
 #: injectable faults: controls that must make a check fail
@@ -152,11 +153,10 @@ def check_commutativity_at_zero_step(inst: QKZInstance):
     )
 
 
-def check_translation_invariance(inst: QKZInstance, t):
-    """Displacing every base point by the same amount leaves each nabla_i
-    unchanged; returns the least first nonzero grade of the differences,
-    or None."""
-    off = t if isinstance(t, ArgShift) else ArgShift.of(t, inst.nf.D)
+def check_translation_invariance(inst: QKZInstance, off: ArgShift):
+    """Displacing every base point by the same amount off leaves each
+    nabla_i unchanged; returns the least first nonzero grade of the
+    differences, or None."""
     moved = tuple(shift_add(zi, off, inst.nf.mode) for zi in inst.z)
     return least_grade(
         (inst.nabla(i, moved) - inst.nabla(i)).first_nonzero_grade()
@@ -259,7 +259,7 @@ def first_order_solution(inst: QKZInstance, i: int, v):
     """
     stepped = _z_step(inst.z, i, inst.kappa_h)
     a1 = inst.nabla(i).grade_matrix(1)
-    h = HSeries.h(inst.nf.D)
+    h = Scalar.from_hseries(HSeries.h(inst.nf.D), inst.nf.mode)
     f_next = [x + y * h for x, y in zip(v, a1.apply(v))]
 
     def fmap(z):

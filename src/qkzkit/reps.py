@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from .errors import ShapeMismatch
 from .families import ArgShift, ladder, shift_add, shift_sub
-from .hseries import HSeries
 from .qdet import NormalizedFamily
 from .tensor import LegMatrix, LegShape, least_grade
 
@@ -37,15 +36,9 @@ class ComoduleWord:
     @staticmethod
     def of(values, D: int) -> "ComoduleWord":
         """Build from plain rationals (constant displacements) or ArgShifts."""
-        out = []
-        for v in values:
-            if isinstance(v, ArgShift):
-                out.append(v)
-            elif isinstance(v, HSeries):
-                out.append(ArgShift(v.constant_part, v.positive_part()))
-            else:
-                out.append(ArgShift.of(v, D))
-        return ComoduleWord(tuple(out))
+        return ComoduleWord(tuple(
+            v if isinstance(v, ArgShift) else ArgShift.of(v, D) for v in values
+        ))
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -156,7 +149,7 @@ def check_braid_relation(
     words = (U, V, W); offs = pairwise displacements (off_uv, off_uw, off_vw),
     which must be difference-consistent: off_uw = off_uv + off_vw.  The
     U-variable stays symbolic, so the UV and UW factors are built
-    symbolically and the VW factor is evaluated.  Checks
+    symbolically and the VW factor is evaluated, then lifted once.  Checks
     R_UV R_UW R_VW = R_VW R_UW R_UV on U (x) V (x) W; returns the first
     nonzero grade of the difference.
     """
@@ -169,7 +162,9 @@ def check_braid_relation(
     legs_w = tuple(range(nu + nv + 1, nu + nv + nw + 1))
     r_uv = build_rvw(nf, u, v, off_uv).embed(big, legs_u + legs_v)
     r_uw = build_rvw(nf, u, w, off_uw).embed(big, legs_u + legs_w)
-    r_vw = build_rvw(nf, v, w, off_vw, value=True).embed(big, legs_v + legs_w)
+    r_vw = build_rvw(nf, v, w, off_vw, value=True).symbolic().embed(
+        big, legs_v + legs_w
+    )
     diff = r_uv * r_uw * r_vw - r_vw * r_uw * r_uv
     return diff.first_nonzero_grade()
 
@@ -221,7 +216,8 @@ def check_intertwiner(
     shifted_v = ComoduleWord(
         tuple(shift_add(a, off, nf.mode) for a in vword.letters)
     )
-    beta = build_braiding(nf, vword, wword, off, value=True).embed(
+    # beta is evaluated, then lifted once to meet the symbolic L's
+    beta = build_braiding(nf, vword, wword, off, value=True).symbolic().embed(
         big, tuple(range(2, p + q + 2))
     )
     l_vw = build_L(nf, ComoduleWord(shifted_v.letters + wword.letters))

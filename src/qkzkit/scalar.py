@@ -3,9 +3,10 @@
 A Scalar is an array of D+1 rational functions of the curve coordinate w,
 graded by h-power, tagged with the coordinate mode: additive (w is the
 canonical parameter itself) or multiplicative (w is the group coordinate;
-translations act by w -> c*w and w -> w*exp(t)).  An HSeries operand of
-a ring operation is lifted into k(w)[[h]] by Scalar.from_hseries.  A
-Scalar is immutable, so its hash is computed once.
+translations act by w -> c*w and w -> w*exp(t)).  The ring operations
+take Scalar operands only: a series over Q[[h]] enters k(w)[[h]] through
+one explicit Scalar.from_hseries.  A Scalar is immutable, so its hash is
+computed once.
 """
 
 from __future__ import annotations
@@ -52,24 +53,8 @@ class Scalar:
         return Scalar(g, mode)
 
     @staticmethod
-    def from_ratfn(r: RatFn, D: int, mode: str = ADDITIVE) -> "Scalar":
-        g = [RF_ZERO] * (D + 1)
-        g[0] = r
-        return Scalar(g, mode)
-
-    @staticmethod
     def from_hseries(s: HSeries, mode: str = ADDITIVE) -> "Scalar":
         return Scalar([RatFn.from_fraction(c) for c in s.coeffs], mode)
-
-    def _lift(self, other) -> "Scalar":
-        """other as a Scalar of self's mode; an HSeries is lifted."""
-        if isinstance(other, HSeries):
-            return Scalar.from_hseries(other, self.mode)
-        return other
-
-    def grade_part(self, m: int) -> "Scalar":
-        """The m-th grade as a Scalar concentrated in grade 0."""
-        return Scalar.from_ratfn(self.grades[m], self.truncation, self.mode)
 
     # -- structure ----------------------------------------------------
     @property
@@ -77,6 +62,8 @@ class Scalar:
         return len(self.grades) - 1
 
     def _check(self, other: "Scalar"):
+        if other.__class__ is not Scalar:
+            raise TypeError(f"Scalar operand expected, got {type(other).__name__}")
         if self.truncation != other.truncation:
             raise TruncationMismatch(
                 f"D={self.truncation} vs D={other.truncation}"
@@ -103,33 +90,23 @@ class Scalar:
 
     # -- ring ops -----------------------------------------------------
     def __add__(self, other: "Scalar") -> "Scalar":
-        other = self._lift(other)
         self._check(other)
         return Scalar(
             [a + b for a, b in zip(self.grades, other.grades)], self.mode
         )
 
-    __radd__ = __add__
-
     def __neg__(self) -> "Scalar":
         return Scalar([-g for g in self.grades], self.mode)
 
     def __sub__(self, other: "Scalar") -> "Scalar":
-        other = self._lift(other)
         self._check(other)
         return Scalar(
             [a - b for a, b in zip(self.grades, other.grades)], self.mode
         )
 
-    def __rsub__(self, other: HSeries) -> "Scalar":
-        return self._lift(other) - self
-
     def __mul__(self, other: "Scalar") -> "Scalar":
-        other = self._lift(other)
         self._check(other)
         return Scalar(series_mul(self.grades, other.grades, RF_ZERO), self.mode)
-
-    __rmul__ = __mul__
 
     def mul_ratfn(self, r: RatFn) -> "Scalar":
         return Scalar([g * r for g in self.grades], self.mode)

@@ -6,9 +6,9 @@ symbolic operator has Scalar entries, in k(w)[[h]], and den None.  An
 operator evaluated at a point, over Q[[h]], has one integer denominator
 den > 0 for the whole operator, and each entry is a tuple of D+1 ints, the
 numerators of its h-grades.  Evaluated products and sums therefore run no
-gcd and build no object per term.  An evaluated operator that meets a
-symbolic one is lifted into k(w)[[h]] first, each distinct entry once.  A
-product computes each distinct entry sum once; equal term sequences share
+gcd and build no object per term.  The ring operations take one form and
+raise ShapeMismatch on a mix: symbolic() is the explicit lift into k(w)[[h]].
+A product computes each distinct entry sum once; equal term sequences share
 one entry object.  Both forms invert by one algorithm, a fraction-free
 inverse of the h^0 grade lifted h-adically over sparse grade rows.  Indices
 enumerate multi-indices in row-major leg order; legs are 1-based.
@@ -134,14 +134,8 @@ class LegMatrix:
             raise ShapeMismatch(f"{self.shape} vs {other.shape}")
         if self.D != other.D or self.mode != other.mode:
             raise ShapeMismatch("mixed truncation or mode")
-
-    def _common(self, other: "LegMatrix"):
-        """self and other over one entry ring: an evaluated operator that
-        meets a symbolic one is lifted into k(w)[[h]]."""
-        self._check(other)
-        if (self.den is None) == (other.den is None):
-            return self, other
-        return self.symbolic(), other.symbolic()
+        if (self.den is None) != (other.den is None):
+            raise ShapeMismatch("mixed symbolic and evaluated operators")
 
     def symbolic(self) -> "LegMatrix":
         """self over k(w)[[h]]; an evaluated entry is lifted through
@@ -174,11 +168,11 @@ class LegMatrix:
     # -- algebra ------------------------------------------------------
     def __add__(self, other: "LegMatrix") -> "LegMatrix":
         """An evaluated sum aligns the two denominators once."""
-        a, b = self._common(other)
-        ea, eb, den = a.entries, b.entries, None
-        if a.den is not None:
-            g = gcd(a.den, b.den)
-            fa, fb, den = b.den // g, a.den // g, a.den // g * b.den
+        self._check(other)
+        ea, eb, den = self.entries, other.entries, None
+        if self.den is not None:
+            g = gcd(self.den, other.den)
+            fa, fb, den = other.den // g, self.den // g, self.den // g * other.den
             if fa != 1:
                 ea = _map_distinct(ea, lambda v: tuple(x * fa for x in v))
             if fb != 1:
@@ -189,7 +183,7 @@ class LegMatrix:
             if cur is not None:
                 v = cur + v if den is None else tuple(map(add, cur, v))
             out[k] = v
-        return LegMatrix(a.shape, out, a.D, a.mode, den)
+        return LegMatrix(self.shape, out, self.D, self.mode, den)
 
     def __neg__(self) -> "LegMatrix":
         return self.map_entries(neg if self.den is None else lambda v: tuple(map(neg, v)))
@@ -202,7 +196,8 @@ class LegMatrix:
         sequence of its terms; a symbolic one also computes each entry
         product once per object pair.  An evaluated product sums integer
         convolutions over the product of the two denominators."""
-        a, b = self._common(other)
+        self._check(other)
+        a, b = self, other
         objs: dict = {}  # id -> entry
         rows_b: dict = {}
         for (k, c), y in b.entries.items():
@@ -343,7 +338,8 @@ class LegMatrix:
     def grade_matrix(self, m: int) -> "LegMatrix":
         """The m-th h-grade as a LegMatrix concentrated in grade 0."""
         if self.den is None:
-            return self.map_entries(lambda s: s.grade_part(m))
+            pad = (RF_ZERO,) * self.D
+            return self.map_entries(lambda s: Scalar((s.grades[m],) + pad, s.mode))
         pad = (0,) * self.D
         return self.map_entries(lambda v: (v[m],) + pad)
 

@@ -178,6 +178,17 @@ class TestCache:
         assert none == [] and len(caught) == 1 and "not written" in caught[0]
         assert unwritable == writable
 
+    def test_failed_write_leaves_no_temporary_file(self):
+        # an entry path that is a directory: the rename fails, and each such
+        # run used to leave one <key>.<pid>.tmp behind
+        F = build_rational(2, 2)
+        (cache_dir() / f"{_key(F)}.json").mkdir(parents=True)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            load_normalized(F)
+        assert any("not written" in str(w.message) for w in caught)
+        assert list(cache_dir().glob("*.tmp")) == []
+
     def test_temporary_name_carries_the_pid(self, monkeypatch):
         # a fixed <key>.tmp let two concurrent runs truncate each other's file
         F = build_rational(2, 2)

@@ -2,6 +2,8 @@
 numerators) against the HSeries-entry oracle of tests/hseries_oracle.py,
 on random operators with shapes [2, 2] and [2, 2, 2]."""
 
+import operator
+from fractions import Fraction
 from itertools import permutations
 
 import pytest
@@ -9,9 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hseries_oracle as oracle
-from qkzkit.errors import SingularMatrix
+from qkzkit.errors import ShapeMismatch, SingularMatrix
+from qkzkit.families import check_classical_ybe, check_qybe
 from qkzkit.hseries import HSeries
 from qkzkit.scalar import Scalar
+from qkzkit.suites import suite_reps
 from qkzkit.tensor import LegMatrix, LegShape
 
 fracs = st.fractions(min_value=-3, max_value=3, max_denominator=4)
@@ -134,9 +138,15 @@ def test_product_with_a_symbolic_operator_is_the_lifted_product(data, k):
     )
     lifted = LegMatrix(shape, {key: Scalar.from_hseries(v) for key, v in a.items()}, D)
     x = evaluated(shape, D, a)
-    for got, want in ((x * sym, lifted * sym), (sym * x, sym * lifted)):
+    y = x.symbolic()
+    for got, want in ((y * sym, lifted * sym), (sym * y, sym * lifted)):
         assert got.den is None and got.entries == want.entries
-    assert (x + sym).entries == (lifted + sym).entries
+    assert (y + sym).entries == (lifted + sym).entries
+    # the forms meet only through the explicit lift
+    for op in (operator.add, operator.sub, operator.mul, operator.eq):
+        for left, right in ((x, sym), (sym, x)):
+            with pytest.raises(ShapeMismatch, match="mixed symbolic and evaluated"):
+                op(left, right)
 
 
 def test_entries_are_integer_tuples_over_one_denominator():
@@ -145,3 +155,26 @@ def test_entries_are_integer_tuples_over_one_denominator():
     assert m.den == 6
     assert m.entries == {(0, 0): (6, 3, 0), (1, 0): (4, 0, 6)}
     assert (m * m).den == 36
+
+
+@pytest.mark.parametrize("row", ["qybe", "classical-ybe", "mixed-ybe", "intertwiner"])
+def test_an_evaluated_factor_is_lifted_once(row, rat2, nf_rat2, monkeypatch):
+    # each row lifts its evaluated factor where it builds it: once per
+    # sample pair or row, not once per product the factor enters
+    lifts = []
+    symbolic = LegMatrix.symbolic
+
+    def counting(m):
+        if m.den is not None:
+            lifts.append(m.shape)
+        return symbolic(m)
+
+    monkeypatch.setattr(LegMatrix, "symbolic", counting)
+    sample = [(Fraction(1), Fraction(1, 2))]
+    checks = {
+        "qybe": lambda: check_qybe(rat2, sample),
+        "classical-ybe": lambda: check_classical_ybe(rat2, sample),
+        **{name: fn for name, _, fn in suite_reps(nf_rat2)},
+    }
+    assert checks[row]() is None
+    assert len(lifts) == 1

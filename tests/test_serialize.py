@@ -27,7 +27,7 @@ def word_dict(word) -> dict:
 class TestScalarRoundTrip:
     def test_round_trip(self):
         w = Scalar.coordinate(D)
-        s = (w * w + HSeries.h(D)) * w.inv()
+        s = (w * w + Scalar.from_hseries(HSeries.h(D))) * w.inv()
         assert list_to_scalar(scalar_to_list(s)) == s
 
     def test_mode_preserved(self):
