@@ -371,17 +371,21 @@ class RatFn:
     # -- substitutions ------------------------------------------------
     def eval(self, x) -> Fraction:
         x = Fraction(x)
-        a, b = x.numerator, x.denominator
+        return Fraction(*self._value(x.numerator, x.denominator))
+
+    def _value(self, a: int, b: int):
+        """self(a/b) as an unreduced pair (num, den) of ints, den != 0, for
+        a/b in lowest terms with b > 0: the one point evaluation."""
         dv = _homog(self.d, a, b)
         if dv == 0:
-            raise PoleError(f"pole at w = {x}")
+            raise PoleError(f"pole at w = {Fraction(a, b)}")
         if not self.p:
-            return Fraction(0)
+            return 0, 1
         # n(x) / d(x) = (nv / b^deg n) / (dv / b^deg d)
         nv, e = _homog(self.n, a, b), len(self.d) - len(self.n)
         if e >= 0:
-            return Fraction(self.p * nv * b**e, self.q * dv)
-        return Fraction(self.p * nv, self.q * dv * b**-e)
+            return self.p * nv * b**e, self.q * dv
+        return self.p * nv, self.q * dv * b**-e
 
     def _substituted(self, n: Poly, d: Poly, y: int) -> "RatFn":
         """The RatFn whose parts became y^deg(n) * n' and y^deg(d) * d'

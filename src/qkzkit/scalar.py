@@ -12,7 +12,7 @@ computed once.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 
 from .errors import ModeMismatch, NonUnitError, TruncationMismatch
 from .hseries import HSeries, series_inv, series_mul
@@ -182,26 +182,48 @@ class Scalar:
         return Scalar([g.recip_arg() for g in self.grades], self.mode)
 
     def eval(self, p: "Point") -> HSeries:
-        """Exact substitution w -> p.value, truncated at D."""
+        """Exact substitution w -> p.value, truncated at D.
+
+        With p.value = a/b + vp, the Taylor sum of f^(j)(a/b) vp^j / j!
+        runs over the j with vp^j nonzero (each derivative is built only
+        then) and, for each, over the grades of f^(j) that vp^j leaves
+        below h^(D+1).  Every term adds into one int numerator per grade
+        over one running denominator; j = 0 reads every grade, so every
+        pole is found.
+        """
         if p.mode != self.mode:
             raise ModeMismatch(f"{self.mode} scalar at {p.mode} point")
         v = p.value
         if v.truncation != self.truncation:
             raise TruncationMismatch("point has wrong truncation")
         D = self.truncation
-        v0 = v.constant_part
-        vp = v.positive_part()
-        # each derivative is built only when the h-part's power survives
-        # to it
-        acc = HSeries.zero(D)
-        power = HSeries.constant(1, D)
-        for j in range(D + 1):
-            term = HSeries([g.eval(v0) for g in self.deriv(j).grades]) * power
-            acc = acc + term.scale(Fraction(1, factorial(j)))
-            power = power * vp
-            if power.is_zero:
-                break
-        return acc
+        a, b = v.constant_part.as_integer_ratio()
+        vp = (0,) + v.n[1:]  # over v.d
+        val = next((m for m, x in enumerate(vp) if x), D + 1)
+        acc, den = [0] * (D + 1), 1
+        power, pden = [1] + [0] * D, 1  # vp^j / j! = power / pden
+        for j in range(D // val + 1):
+            if j:
+                power = series_mul(power, vp, 0)
+                pden *= v.d * j
+            terms = [(i, c) for i, c in enumerate(power) if c]
+            for m, g in enumerate(self.deriv(j).grades[: D + 1 - j * val]):
+                if not g.p:
+                    continue
+                x, y = g._value(a, b)
+                y *= pden
+                if y < 0:
+                    x, y = -x, -y
+                if den % y:
+                    f = y // gcd(den, y)
+                    acc = [c * f for c in acc]
+                    den *= f
+                x *= den // y
+                for i, c in terms:
+                    if m + i > D:
+                        break
+                    acc[m + i] += x * c
+        return HSeries._of(acc, den)
 
     # -- comparisons --------------------------------------------------
     def __eq__(self, other) -> bool:

@@ -256,6 +256,8 @@ class LegMatrix:
                     f"dim of leg {l} is {target.dims[l - 1]}, "
                     f"operator leg has {self.shape.dims[mine]}"
                 )
+        if target == self.shape and legs == tuple(range(1, len(legs) + 1)):
+            return self  # entries are never mutated, so share them
         offsets = [0]  # the flat offset of each setting of the other legs
         for i, (s, d) in enumerate(zip(target.strides, target.dims)):
             if i + 1 not in legs:

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import eval_oracle
+
 from qkzkit.errors import ModeMismatch, NonUnitError, PoleError
 from qkzkit.hseries import HSeries
 from qkzkit.ratfn import RatFn
@@ -136,6 +138,75 @@ class TestEvalDerivatives:
         # the chain is kept: evaluating again builds nothing
         s.eval(Point(HSeries.constant(5, D) + HSeries.h(D, power)))
         assert len(calls) == diffs
+
+
+roots = st.sampled_from([Fraction(-1), Fraction(1, 2), Fraction(2)])
+
+
+@st.composite
+def eval_cases(draw):
+    """(Scalar, Point) in either mode at D from 0 to 5: grades zero, drawn,
+    or with a pole at one of roots, which the point's h^0 part hits now
+    and then; the point's h-part has valuation 0 (none), 1 or 2."""
+    mode = draw(st.sampled_from([ADDITIVE, MULTIPLICATIVE]))
+    D = draw(st.integers(0, 5))
+    grade = st.one_of(
+        st.just(RatFn(())),
+        ratfns(),
+        st.builds(lambda n, r: RatFn(n, (-r, 1)), polys, roots),
+    )
+    s = Scalar([draw(grade) for _ in range(D + 1)], mode)
+    c = draw(st.one_of(roots, fracs))
+    if mode == MULTIPLICATIVE and c == 0:
+        c = Fraction(1)
+    val = draw(st.integers(0, min(2, D)))
+    tail = [Fraction(0)] * D
+    if val:
+        lead = draw(fracs.filter(bool))
+        tail[val - 1:] = [lead] + draw(st.lists(fracs, min_size=D - val, max_size=D - val))
+    return s, Point(HSeries([c, *tail]), mode)
+
+
+class TestEvalOracle:
+    @given(eval_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_fraction_taylor_sum(self, case):
+        s, p = case
+        try:
+            # a fresh Scalar, so the oracle builds its own derivative chain
+            want = eval_oracle.evaluate(Scalar(s.grades, s.mode), p)
+        except PoleError as e:
+            with pytest.raises(PoleError) as got:
+                s.eval(p)
+            assert str(got.value) == str(e)
+            return
+        assert s.eval(p) == want
+
+
+class TestEvalWork:
+    """Scalar.eval reads grade m of f^(j) only when vp^j leaves it below
+    h^(D+1): one RatFn._value per surviving Taylor term."""
+
+    @pytest.mark.parametrize("power, D, values", [
+        (0, 0, 1), (0, 4, 5), (1, 4, 15), (2, 4, 5 + 3 + 1), (2, 5, 6 + 4 + 2),
+    ])
+    def test_surviving_terms(self, monkeypatch, power, D, values):
+        calls = []
+        value = RatFn._value
+
+        def counting(g, a, b):
+            calls.append(1)
+            return value(g, a, b)
+
+        monkeypatch.setattr(RatFn, "_value", counting)
+        s = Scalar([RatFn((Fraction(1),), (Fraction(-1), Fraction(1)))] * (D + 1))
+        v = HSeries.constant(3, D)
+        if power:
+            v = v + HSeries.h(D, power)
+        s.eval(Point(v))
+        assert len(calls) == values
+        if power:
+            assert values == sum(D + 1 - power * j for j in range(D // power + 1))
 
 
 class TestMultiplicativeCoordinate:

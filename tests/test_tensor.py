@@ -80,6 +80,24 @@ class TestEmbed:
         with pytest.raises(ShapeMismatch):
             sigma().embed(LegShape([2, 2, 2]), (1,))
 
+    @pytest.mark.parametrize("evaluated", [False, True])
+    def test_placement_on_its_own_shape(self, evaluated):
+        # in leg order the operator is its own placement; (2, 1) conjugates
+        # it by the swap of its legs
+        shape = LegShape([2, 2])
+        m = LegMatrix(
+            shape,
+            {(r, c): sc(1 + r + 5 * c) for r in range(4) for c in range(4) if r <= c},
+            D,
+        )
+        swap = LegMatrix.from_leg_permutation(shape, (1, 0), D, evaluated=evaluated)
+        if evaluated:
+            m = m.at(Point.of(0, D))
+        assert m.embed(shape, (1, 2)) is m
+        swapped = m.embed(shape, (2, 1))
+        assert swapped is not m and swapped != m
+        assert swapped == swap * m * swap
+
     @pytest.mark.parametrize("legs, dims", [
         ((1, 2), [2, 3, 2]), ((3, 1), [3, 2, 2]), ((2, 4), [2, 2, 3, 3]),
     ])
