@@ -21,7 +21,13 @@ FAULTS = ("drop-step-shift",)
 
 
 class QKZInstance:
-    __slots__ = ("nf", "z", "words", "K", "_nablas")
+    """n base points z (ArgShifts), one word per point and a central
+    charge K.  Two memos are filled on demand: nabla builds each connection
+    operator once per index and point tuple, and factor each evaluated
+    R^{j,i}(off) placed on the fiber once per (j, i, off), so the flatness,
+    equivariance and quasiclassical rows share both."""
+
+    __slots__ = ("nf", "z", "words", "K", "_nablas", "_factors")
 
     def __init__(self, nf: NormalizedFamily, z: tuple, words: tuple, K: HSeries):
         if len(z) != len(words):
@@ -33,6 +39,7 @@ class QKZInstance:
         self.words = words  # ComoduleWord per point
         self.K = K
         self._nablas = {}  # (i, point tuple) -> nabla_i, filled by nabla
+        self._factors = {}  # (j, i, offset) -> R^{j,i}, filled by factor
 
     @property
     def n(self) -> int:
@@ -76,6 +83,16 @@ class QKZInstance:
             self._nablas[key] = build_nabla(self, i, z)
         return self._nablas[key]
 
+    def factor(self, j: int, i: int, off: ArgShift) -> LegMatrix:
+        """R^{j,i}(off) evaluated and placed on blocks j and i of the fiber,
+        built once per (j, i, off)."""
+        key = (j, i, off)
+        if key not in self._factors:
+            self._factors[key] = build_rvw(
+                self.nf, self.words[j - 1], self.words[i - 1], off, value=True
+            ).embed(self.fiber_shape(), self.block_legs(j) + self.block_legs(i))
+        return self._factors[key]
+
     def swapped(self, i: int) -> "QKZInstance":
         """The instance with points/words i and i+1 exchanged."""
         z = list(self.z)
@@ -109,9 +126,7 @@ def build_nabla(inst: QKZInstance, i: int, z=None) -> LegMatrix:
         off = shift_sub(z[j - 1], z[i - 1], nf.mode)
         if shifted:
             off = shift_add(off, kh, nf.mode)
-        return build_rvw(
-            nf, inst.words[j - 1], inst.words[i - 1], off, value=True
-        ).embed(big, inst.block_legs(j) + inst.block_legs(i))
+        return inst.factor(j, i, off)
 
     order = [(j, True) for j in range(i - 1, 0, -1)]
     order += [(j, False) for j in range(inst.n, i, -1)]
@@ -216,19 +231,15 @@ def check_quasiclassical(inst: QKZInstance):
     j != i of the h^1 grades of R^{ji}(z_j - z_i) -- the step shift kappa h
     only enters at grade 2.  Returns the least first nonzero grade of the
     differences, or None."""
-    nf = inst.nf
-    big = inst.fiber_shape()
+    mode = inst.nf.mode
     grades = []
     for i in range(1, inst.n + 1):
         terms = []
         for j in range(1, inst.n + 1):
             if j == i:
                 continue
-            off = shift_sub(inst.z[j - 1], inst.z[i - 1], nf.mode)
-            r = build_rvw(
-                nf, inst.words[j - 1], inst.words[i - 1], off, value=True
-            ).embed(big, inst.block_legs(j) + inst.block_legs(i))
-            terms.append(r.grade_matrix(1))
+            off = shift_sub(inst.z[j - 1], inst.z[i - 1], mode)
+            terms.append(inst.factor(j, i, off).grade_matrix(1))
         diff = quasiclassical_limit(inst, i)
         for t in terms:
             diff = diff - t

@@ -10,8 +10,9 @@ gcd and build no object per term.  The ring operations take one form and
 raise ShapeMismatch on a mix: symbolic() is the explicit lift into k(w)[[h]].
 A product computes each distinct entry sum once; equal term sequences share
 one entry object.  Both forms invert by one algorithm, a fraction-free
-inverse of the h^0 grade lifted h-adically over sparse grade rows.  Indices
-enumerate multi-indices in row-major leg order; legs are 1-based.
+inverse of the h^0 grade lifted h-adically over sparse grade rows, once per
+operator.  Indices enumerate multi-indices in row-major leg order; legs are
+1-based.
 
 certified_grade decides the first failing grade of a product identity
 exactly from the identity evaluated at a few points of the curve.
@@ -67,7 +68,7 @@ class LegShape:
 
 
 class LegMatrix:
-    __slots__ = ("shape", "entries", "D", "mode", "den")
+    __slots__ = ("shape", "entries", "D", "mode", "den", "_inv")
 
     def __init__(self, shape: LegShape, entries: dict, D: int,
                  mode: str = ADDITIVE, den: int | None = None):
@@ -167,12 +168,21 @@ class LegMatrix:
 
     # -- algebra ------------------------------------------------------
     def __add__(self, other: "LegMatrix") -> "LegMatrix":
-        """An evaluated sum aligns the two denominators once."""
+        return self._combine(other, 1)
+
+    def _combine(self, other: "LegMatrix", sign: int) -> "LegMatrix":
+        """self + sign * other.  Each distinct entry of other is mapped
+        once, by the sign and, when evaluated, by the factor that aligns
+        the two denominators, so a difference builds no negated operator."""
         self._check(other)
         ea, eb, den = self.entries, other.entries, None
-        if self.den is not None:
+        if self.den is None:
+            if sign < 0:
+                eb = _map_distinct(eb, neg)
+        else:
             g = gcd(self.den, other.den)
-            fa, fb, den = other.den // g, self.den // g, self.den // g * other.den
+            fa, fb = other.den // g, sign * (self.den // g)
+            den = self.den // g * other.den
             if fa != 1:
                 ea = _map_distinct(ea, lambda v: tuple(x * fa for x in v))
             if fb != 1:
@@ -189,28 +199,32 @@ class LegMatrix:
         return self.map_entries(neg if self.den is None else lambda v: tuple(map(neg, v)))
 
     def __sub__(self, other: "LegMatrix") -> "LegMatrix":
-        return self + (-other)
+        return self._combine(other, -1)
 
     def __mul__(self, other: "LegMatrix") -> "LegMatrix":
         """Each distinct entry sum is computed once, keyed by the object
         sequence of its terms; a symbolic one also computes each entry
-        product once per object pair.  An evaluated product sums integer
-        convolutions over the product of the two denominators."""
+        product once per object pair.  An evaluated product reads each
+        distinct entry once into its nonzero (grade, numerator) pairs and
+        sums their convolutions over the product of the two denominators."""
         self._check(other)
         a, b = self, other
         objs: dict = {}  # id -> entry
         rows_b: dict = {}
         for (k, c), y in b.entries.items():
-            objs[id(y)] = y
-            rows_b.setdefault(k, []).append((c, id(y)))
+            iy = id(y)
+            objs[iy] = y
+            rows_b.setdefault(k, []).append((c, iy))
         terms: dict = {}  # (r, c) -> [id a1, id b1, id a2, id b2, ...]
         for (r, k), x in a.entries.items():
-            objs[id(x)] = x
+            ix = id(x)
+            objs[ix] = x
             for c, iy in rows_b.get(k, ()):
-                terms.setdefault((r, c), []).extend((id(x), iy))
+                terms.setdefault((r, c), []).extend((ix, iy))
         if a.den is None:
             total, den = partial(_pair_memo_sum, objs, {}), None
         else:
+            objs = {i: [(m, x) for m, x in enumerate(v) if x] for i, v in objs.items()}
             total, den = partial(_convolution_sum, objs, a.D + 1), a.den * b.den
         sums, out = {}, {}
         for key, ids in terms.items():
@@ -286,8 +300,18 @@ class LegMatrix:
 
     # -- inversion ----------------------------------------------------
     def inv(self) -> "LegMatrix":
-        """Exact inverse; raises SingularMatrix naming the first column with
-        no unit pivot, the first whose h^0 grade depends on those before it.
+        """Exact inverse, computed once per operator and kept on it, since
+        no entry dict is ever mutated; raises SingularMatrix on every call,
+        naming the first column with no unit pivot, the first whose h^0
+        grade depends on those before it."""
+        try:
+            return self._inv
+        except AttributeError:
+            self._inv = self._inverse()
+            return self._inv
+
+    def _inverse(self) -> "LegMatrix":
+        """The inverse, by one algorithm for both forms.
 
         self = sum_m h^m A_m (over den when evaluated), each A_m read as
         sparse rows of RatFns or ints.  With A_0 adj = det Id, the inverse
@@ -401,15 +425,18 @@ def _pair_memo_sum(objs: dict, prods: dict, ids: tuple):
 
 
 def _convolution_sum(objs: dict, n: int, ids: tuple):
-    """The integer sum a1 b1 + a2 b2 + ... of the n-tuples objs[id] of a
-    term sequence of ids, as truncated convolutions; None when 0."""
+    """The integer sum a1 b1 + a2 b2 + ... of the entries objs[id] of a
+    term sequence of ids, each given by its nonzero (grade, numerator)
+    pairs in grade order, as convolutions truncated below grade n; an
+    n-tuple, or None when 0."""
     out = [0] * n
     for i in range(0, len(ids), 2):
         b = objs[ids[i + 1]]
-        for p, x in enumerate(objs[ids[i]]):
-            if x:
-                for q in range(n - p):
-                    out[p + q] += x * b[q]
+        for p, x in objs[ids[i]]:
+            for q, y in b:
+                if p + q >= n:
+                    break
+                out[p + q] += x * y
     return tuple(out) if any(out) else None
 
 

@@ -22,18 +22,29 @@ fracs = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 units = st.integers(-1, 1)
 
 
+def gapped_series(D):
+    """HSeries with zero leading grades (valuation 0 to 2) and zero grades
+    between nonzero ones."""
+    grade = st.one_of(st.just(0), fracs.filter(bool))
+    grades = st.lists(grade, min_size=D + 1, max_size=D + 1)
+    return st.tuples(st.integers(0, 2), grades).map(
+        lambda t: HSeries([0] * min(t[0], D + 1) + t[1][t[0]:])
+    )
+
+
 @st.composite
-def operators(draw, count=2, unit_grade0=False):
+def operators(draw, count=2, unit_grade0=False, gapped=False):
     """(shape, D, [oracle dicts]): count operators on one shape whose
     entries come from a small pool of HSeries objects, each beside its
     negation, so one object sits at many keys and sums often cancel.
-    unit_grade0 draws h^0 grades from -1, 0, 1 (singular now and then)."""
+    unit_grade0 draws h^0 grades from -1, 0, 1 (singular now and then);
+    gapped draws D up to 5 and entries from gapped_series."""
     shape = LegShape(draw(st.sampled_from([[2, 2], [2, 2, 2]])))
-    D = draw(st.integers(0, 3))
+    D = draw(st.integers(0, 5 if gapped else 3))
     head = units if unit_grade0 else fracs
-    series = st.tuples(head, st.lists(fracs, min_size=D, max_size=D)).map(
-        lambda t: HSeries([t[0], *t[1]])
-    )
+    series = gapped_series(D) if gapped else st.tuples(
+        head, st.lists(fracs, min_size=D, max_size=D)
+    ).map(lambda t: HSeries([t[0], *t[1]]))
     pool = draw(st.lists(series, min_size=1, max_size=4))
     pool += [-x for x in pool]
     keys = st.tuples(
@@ -66,6 +77,40 @@ def test_ring_operations_match_the_oracle(data):
     assert (x * y).first_nonzero_grade() == oracle.first_nonzero_grade(
         oracle.product(a, b)
     )
+
+
+@given(operators(gapped=True))
+@settings(max_examples=150, deadline=None)
+def test_product_of_gapped_entries_matches_the_oracle(data):
+    # the product convolves only nonzero grades and stops at D: entries
+    # with zero leading and middle grades, and operands sharing objects
+    shape, D, (a, b) = data
+    x, y = evaluated(shape, D, a), evaluated(shape, D, b)
+    for (p, q), (pa, qa) in (((x, y), (a, b)), ((y, x), (b, a)), ((x, x), (a, a))):
+        got = p * q
+        assert oracle.view(got) == oracle.product(pa, qa)
+        assert got.first_nonzero_grade() == oracle.first_nonzero_grade(
+            oracle.product(pa, qa)
+        )
+
+
+@given(operators(), st.integers(2, 3))
+@settings(max_examples=60, deadline=None)
+def test_difference_is_the_sum_with_the_negation(data, k):
+    # in both forms, over unequal denominators, and exactly zero where an
+    # operator meets its own value over a denominator k times larger
+    shape, D, (a, b) = data
+    x, y = evaluated(shape, D, a), evaluated(shape, D, b)
+    same = LegMatrix(
+        shape, {key: tuple(k * c for c in v) for key, v in x.entries.items()},
+        D, den=k * x.den,
+    )
+    assert same.den != x.den
+    for p, q in ((x, y), (y, x), (x, same), (same, x), (x, x)):
+        for left, right in ((p, q), (p.symbolic(), q.symbolic())):
+            got, want = left - right, left + (-right)
+            assert (got.den, got.entries) == (want.den, want.entries)
+    assert (x - same).is_zero and (x.symbolic() - same.symbolic()).is_zero
 
 
 @given(operators(count=1), st.data())

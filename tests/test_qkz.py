@@ -3,10 +3,11 @@ from fractions import Fraction
 import pytest
 from planting import planted_nf
 
-from qkzkit import qkz
+from qkzkit import qkz, tensor
 from qkzkit.errors import ShapeMismatch
-from qkzkit.families import ArgShift
+from qkzkit.families import ArgShift, build_rational
 from qkzkit.hseries import HSeries
+from qkzkit.qdet import normalize
 from qkzkit.qkz import (
     QKZInstance,
     build_nabla,
@@ -229,6 +230,57 @@ class TestEvaluatedPath:
         # 5 unstepped, 20 stepped by flatness, 4 on the swapped instances of
         # equivariance; 38 builds before the operators were shared
         assert len(built) == len(set(built)) == 29
+
+    def test_suite_builds_each_connection_factor_once(self, nf_rat2, monkeypatch):
+        # the nablas of one instance share each R^{j,i}(offset) placed on
+        # the fiber: 116 requests from build_nabla for 56 distinct factors
+        inst = self.five_points(nf_rat2)
+        requests, built, inside = [], [], []
+        factor, nabla, rvw = QKZInstance.factor, qkz.build_nabla, qkz.build_rvw
+
+        def requesting(self, j, i, off):
+            if inside:
+                requests.append((self, j, i, off))
+            return factor(self, j, i, off)
+
+        def building(inst, i, z=None):
+            inside.append(i)
+            try:
+                return nabla(inst, i, z)
+            finally:
+                inside.pop()
+
+        def counting(*args, **kwargs):
+            if inside:
+                built.append(args)
+            return rvw(*args, **kwargs)
+
+        monkeypatch.setattr(QKZInstance, "factor", requesting)
+        monkeypatch.setattr(qkz, "build_nabla", building)
+        monkeypatch.setattr(qkz, "build_rvw", counting)
+        results = run_checks(suite_qkz(nf_rat2, [inst]))
+        assert all(r.passed for r in results)
+        assert len(requests) == 116
+        assert len(built) == len(set(requests)) == 56
+
+    def test_suite_inverts_each_distinct_operator_once(self, monkeypatch):
+        # a fresh family: its R values, and the inverses kept on them, are
+        # shared by every instance of the family
+        nf = normalize(build_rational(2, 4))
+        inst = self.five_points(nf)
+        calls = []
+        bareiss = tensor._bareiss_inverse
+
+        def counting(a, one, div):
+            calls.append(len(a))
+            return bareiss(a, one, div)
+
+        monkeypatch.setattr(tensor, "_bareiss_inverse", counting)
+        results = run_checks(suite_qkz(nf, [inst]))
+        assert all(r.passed for r in results)
+        # 40 inverses before they were kept: 12 repeats under the braiding
+        # conjugators of equivariance and 4 within regular
+        assert calls == [4] * 24
 
 
 class TestFlatness:

@@ -272,6 +272,34 @@ class TestInverse:
             op.inv()
             assert calls == [[{i: one} for i in range(4)]]
 
+    def test_inverse_is_kept_on_the_operator(self, monkeypatch):
+        # one elimination per operator however often it is inverted, in
+        # both forms; a singular operator raises the same error every time
+        calls = []
+        bareiss = tensor._bareiss_inverse
+
+        def counting(a, one, div):
+            calls.append(1)
+            return bareiss(a, one, div)
+
+        monkeypatch.setattr(tensor, "_bareiss_inverse", counting)
+        w = Scalar.coordinate(D)
+        m = LegMatrix.identity(LegShape([2, 2]), D) + sigma().mul_scalar(
+            w * Scalar.from_hseries(HSeries.h(D))
+        )
+        singular = LegMatrix(LegShape([2, 2]), {(0, 0): sc(1)}, D)
+        p = Point.of(3, D)
+        for op, bad in ((m, singular), (m.at(p), singular.at(p))):
+            calls.clear()
+            assert op.inv() is op.inv()
+            ident = LegMatrix.identity(op.shape, D, evaluated=op.den is not None)
+            assert op * op.inv() == ident
+            assert len(calls) == 1
+            for _ in range(2):
+                with pytest.raises(SingularMatrix, match="^no unit pivot in column 1$"):
+                    bad.inv()
+            assert len(calls) == 3
+
 
 class TestTheta:
     def test_theta_is_transposed_inverse(self):
