@@ -1,10 +1,13 @@
 """Golden reports: the CLI's full report, minus its timing fields, must stay
 byte-identical to the committed one for each fixed config: suite `all` at
-D=2, and at D=4 for rational N=3 and trigonometric N=2 (grades 3 and 4 of
-the three-leg, braid and intertwiner rows), suite `crossing` on the 16x16 rational N=4 operators and at the
-trigonometric D=6 (the deepest h-adic inverse lift), suite `normalize` at
-D=4, whose pairing rows reach grades 3 and 4, and suite `qkz` at D=4, whose
-connection operators are evaluated over Q[[h]].
+D=2, at D=4 for rational N=3 and trigonometric N=2 (grades 3 and 4 of the
+three-leg, braid and intertwiner rows), and at D=6 for the same two
+families (the certified rows at their largest degree bounds B_g, and, in
+the multiplicative coordinate, past the skipped point 0); suite `crossing`
+on the 16x16 rational N=4 operators and at the trigonometric D=6 (the
+deepest h-adic inverse lift); suite `normalize` at D=4, whose pairing rows
+reach grades 3 and 4; and suite `qkz` at D=4, whose connection operators
+are evaluated over Q[[h]].
 
 A refactor that changes any verdict, check name, identity text, config echo
 or key order shows up here.  To regenerate after an intended change:
@@ -29,6 +32,10 @@ CONFIGS = {
     "rational-N3-D4-all": {"family": "rational", "N": 3, "D": 4, "suite": "all"},
     "trigonometric-N2-D4-all": {
         "family": "trigonometric", "N": 2, "D": 4, "suite": "all",
+    },
+    "rational-N3-D6-all": {"family": "rational", "N": 3, "D": 6, "suite": "all"},
+    "trigonometric-N2-D6-all": {
+        "family": "trigonometric", "N": 2, "D": 6, "suite": "all",
     },
     "rational-N4-D4-crossing": {
         "family": "rational", "N": 4, "D": 4, "suite": "crossing",
