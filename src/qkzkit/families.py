@@ -14,7 +14,7 @@ from .errors import KernelError, PoleError
 from .hseries import HSeries
 from .ratfn import RF_ONE, RF_ZERO, RatFn, pmul
 from .scalar import ADDITIVE, MULTIPLICATIVE, Point, Scalar
-from .tensor import LegMatrix, LegShape, least_grade
+from .tensor import LegMatrix, LegShape, certified_grade, least_grade
 
 RATIONAL = "rational"
 TRIGONOMETRIC = "trigonometric"
@@ -296,31 +296,31 @@ def default_samples(F: RMatrixFamily, count: int = 5):
 
 # -- identity checks ---------------------------------------------------
 
-def _three_leg_factors(F: RMatrixFamily, u2: Fraction, u3: Fraction):
-    """R^{12}(u1 - u2) and R^{13}(u1 - u3), u1 symbolic, and R^{23}(u2 - u3),
-    evaluated and lifted into k(w)[[h]] once, on legs [N]^3."""
-    big = LegShape([F.N] * 3)
-    sym = ArgShift.none(F.D, F.mode)
-    a2, a3 = ArgShift.of(u2, F.D), ArgShift.of(u3, F.D)
-    return (
-        F.r(shift_sub(sym, a2, F.mode)).embed(big, (1, 2)),
-        F.r(shift_sub(sym, a3, F.mode)).embed(big, (1, 3)),
-        F.r_value(shift_sub(a2, a3, F.mode)).symbolic().embed(big, (2, 3)),
-    )
+def _sampled_ybe(F: RMatrixFamily, samples, classical=False):
+    """The least first nonzero grade of R12 R13 R23 - R23 R13 R12 at the
+    sample pairs (u2, u3), u1 symbolic: the braid relation of the one-letter
+    words (u1, u2, u3) at no offset, certified.  classical: of R mod h^2,
+    read through h^2."""
+    from .reps import ComoduleWord, ybe_factors, ybe_residual
+
+    none = ArgShift.none(F.D, F.mode)
+    grades = []
+    for pair in samples:
+        words = [ComoduleWord.of([u], F.D) for u in (none, *pair)]
+        fs = ybe_factors(F, words, (none,) * 3)
+        if classical:  # grades 0 and 1 of each factor, in k(w)[[h]]/(h^3)
+            fs = [LegMatrix(f.shape, {k: Scalar(s.grades[:2] + (RF_ZERO,), F.mode)
+                                      for k, s in f.entries.items()}, 2, F.mode)
+                  for f in fs]
+        grades.append(certified_grade(fs, ybe_residual, fs[0].D, F.mode))
+    return least_grade(grades)
 
 
 def check_qybe(F: RMatrixFamily, samples=None):
     """Three-leg consistency R12 R13 R23 = R23 R13 R12 at each sample pair
     (u2, u3), u1 symbolic; returns the least first nonzero grade of the
     residuals, or None when each is exact zero to order D."""
-    if samples is None:
-        samples = default_samples(F)
-    grades = []
-    for (u2, u3) in samples:
-        r12, r13, r23 = _three_leg_factors(F, u2, u3)
-        diff = r12 * r13 * r23 - r23 * r13 * r12
-        grades.append(diff.first_nonzero_grade())
-    return least_grade(grades)
+    return _sampled_ybe(F, default_samples(F) if samples is None else samples)
 
 
 def check_crossing(F: RMatrixFamily):
@@ -379,23 +379,15 @@ def check_unitarity(F):
 
 
 def check_classical_ybe(F: RMatrixFamily, samples=None):
-    """Classical YBE for the h^1 matrix r: the sum of pairwise commutators
-    vanishes at each sample pair, one variable symbolic; returns the least
-    first nonzero grade of the sums, or None."""
+    """Classical YBE for the h^1 matrix r at each sample pair, one variable
+    symbolic: the YBE of R mod h^2, read through h^2.  With R_0 = Id it
+    vanishes at h^0 and h^1, and its h^2 grade is [r12, r13] + [r12, r23]
+    + [r13, r23], the h^2 grade of the full YBE too, so it fails at grade 2
+    where qybe reads the same fault.  Returns the least first nonzero
+    grade, or None."""
     if samples is None:
         samples = default_samples(F, 3)
-    grades = []
-    for (u2, u3) in samples:
-        r12, r13, r23 = (
-            -m.grade_matrix(1) for m in _three_leg_factors(F, u2, u3)
-        )
-        acc = (
-            (r12 * r13 - r13 * r12)
-            + (r12 * r23 - r23 * r12)
-            + (r13 * r23 - r23 * r13)
-        )
-        grades.append(acc.first_nonzero_grade())
-    return least_grade(grades)
+    return _sampled_ybe(F, samples, classical=True)
 
 
 # -- trigonometric -> rational degeneration ----------------------------

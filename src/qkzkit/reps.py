@@ -11,7 +11,7 @@ from __future__ import annotations
 from .errors import ShapeMismatch
 from .families import ArgShift, ladder, shift_add, shift_sub
 from .qdet import NormalizedFamily
-from .tensor import LegMatrix, LegShape, least_grade
+from .tensor import LegMatrix, LegShape, certified_grade, least_grade
 
 
 class ComoduleWord:
@@ -139,34 +139,36 @@ def check_hexagon(
     return least_grade((a * b - full).first_nonzero_grade() for a, b in pairs)
 
 
-def check_braid_relation(
-    nf: NormalizedFamily,
-    words,
-    offs,
-):
-    """Yang-Baxter for three words.
-
-    words = (U, V, W); offs = pairwise displacements (off_uv, off_uw, off_vw),
-    which must be difference-consistent: off_uw = off_uv + off_vw.  The
-    U-variable stays symbolic, so the UV and UW factors are built
-    symbolically and the VW factor is evaluated, then lifted once.  Checks
-    R_UV R_UW R_VW = R_VW R_UW R_UV on U (x) V (x) W; returns the first
-    nonzero grade of the difference.
-    """
+def ybe_factors(F, words, offs) -> list:
+    """The factors of Yang-Baxter for three words on U (x) V (x) W, for a
+    raw or a normalized family F: R_UV and R_UW, the U-variable symbolic,
+    and R_VW, evaluated and lifted once.  words = (U, V, W); offs =
+    (off_uv, off_uw, off_vw), difference-consistent: off_uw = off_uv +
+    off_vw."""
     u, v, w = words
     off_uv, off_uw, off_vw = offs
-    nu, nv, nw = len(u), len(v), len(w)
-    big = LegShape([nf.N] * (nu + nv + nw))
-    legs_u = tuple(range(1, nu + 1))
-    legs_v = tuple(range(nu + 1, nu + nv + 1))
-    legs_w = tuple(range(nu + nv + 1, nu + nv + nw + 1))
-    r_uv = build_rvw(nf, u, v, off_uv).embed(big, legs_u + legs_v)
-    r_uw = build_rvw(nf, u, w, off_uw).embed(big, legs_u + legs_w)
-    r_vw = build_rvw(nf, v, w, off_vw, value=True).symbolic().embed(
-        big, legs_v + legs_w
-    )
-    diff = r_uv * r_uw * r_vw - r_vw * r_uw * r_uv
-    return diff.first_nonzero_grade()
+    big = word_leg_shape(F, *words)
+    ends = [0, len(u), len(u) + len(v), len(big.dims)]
+    lu, lv, lw = (tuple(range(a + 1, b + 1)) for a, b in zip(ends, ends[1:]))
+    return [
+        build_rvw(F, u, v, off_uv).embed(big, lu + lv),
+        build_rvw(F, u, w, off_uw).embed(big, lu + lw),
+        build_rvw(F, v, w, off_vw, value=True).symbolic().embed(big, lv + lw),
+    ]
+
+
+def ybe_residual(fs) -> LegMatrix:
+    """R_UV R_UW R_VW - R_VW R_UW R_UV over the ring of the factors'
+    entries, for the factors of ybe_factors or the same evaluated."""
+    r_uv, r_uw, r_vw = fs
+    return r_uv * r_uw * r_vw - r_vw * r_uw * r_uv
+
+
+def check_braid_relation(nf: NormalizedFamily, words, offs):
+    """Yang-Baxter for three words, R_UV R_UW R_VW = R_VW R_UW R_UV,
+    decided by certified evaluation of ybe_factors; returns the first
+    nonzero grade of the difference, or None."""
+    return certified_grade(ybe_factors(nf, words, offs), ybe_residual, nf.D, nf.mode)
 
 
 def build_L(nf: NormalizedFamily, word: ComoduleWord) -> LegMatrix:
@@ -183,22 +185,23 @@ def check_rvw_unitarity(
     wword: ComoduleWord,
     off: ArgShift | None = None,
 ):
-    """sigma R_VW(w) sigma R_WV(-w) = 1; returns the first nonzero grade of
-    the difference from the identity, or None."""
+    """sigma R_VW(w) sigma R_WV(-w) = 1, decided by certified evaluation
+    with the factors R_VW(w) and R_WV(-w); returns the first nonzero grade
+    of the difference from the identity, or None."""
     p, q = len(vword), len(wword)
     mode = nf.mode
     if off is None:
-        off = ArgShift.none(nf.D, nf.mode)
-    neg = shift_sub(ArgShift.none(nf.D, nf.mode), off, mode)
+        off = ArgShift.none(nf.D, mode)
+    neg = shift_sub(ArgShift.none(nf.D, mode), off, mode)
     rvw = build_rvw(nf, vword, wword, off)
-    rwv_neg = build_rvw(nf, wword, vword, neg).map_entries(
-        lambda s: s.negate_arg()
-    )
-    swap_vw = block_swap(nf, p, q)
-    swap_wv = block_swap(nf, q, p)
-    prod = swap_vw * rvw * swap_wv * rwv_neg
-    ident = LegMatrix.identity(LegShape([nf.N] * (p + q)), nf.D, nf.mode)
-    return (prod - ident).first_nonzero_grade()
+    rwv_neg = build_rvw(nf, wword, vword, neg).map_entries(lambda s: s.negate_arg())
+
+    def residual(fs):
+        ev = fs[0].den is not None
+        prod = block_swap(nf, p, q, ev) * fs[0] * block_swap(nf, q, p, ev) * fs[1]
+        return prod - LegMatrix.identity(prod.shape, nf.D, mode, ev)
+
+    return certified_grade([rvw, rwv_neg], residual, nf.D, mode)
 
 
 def check_intertwiner(
@@ -208,18 +211,19 @@ def check_intertwiner(
     off: ArgShift,
 ):
     """The braiding intertwines the evaluation operators:
-    (1_aux (x) beta) L_{V (x) W} = L_{W (x) V} (1_aux (x) beta); returns the
-    first nonzero grade of the difference, or None."""
+    (1_aux (x) beta) L_{V (x) W} = L_{W (x) V} (1_aux (x) beta), decided by
+    certified evaluation; returns the first nonzero grade of the
+    difference, or None."""
     p, q = len(vword), len(wword)
     big = LegShape([nf.N] * (1 + p + q))
     # the word displaced by off: its evaluation operator is L_V(w - off)
-    shifted_v = ComoduleWord(
-        tuple(shift_add(a, off, nf.mode) for a in vword.letters)
-    )
-    # beta is evaluated, then lifted once to meet the symbolic L's
+    shifted_v = tuple(shift_add(a, off, nf.mode) for a in vword.letters)
+    # beta carries h-grades, so it is a factor: evaluated, then lifted once
     beta = build_braiding(nf, vword, wword, off, value=True).symbolic().embed(
         big, tuple(range(2, p + q + 2))
     )
-    l_vw = build_L(nf, ComoduleWord(shifted_v.letters + wword.letters))
-    l_wv = build_L(nf, ComoduleWord(wword.letters + shifted_v.letters))
-    return (beta * l_vw - l_wv * beta).first_nonzero_grade()
+    l_vw = build_L(nf, ComoduleWord(shifted_v + wword.letters))
+    l_wv = build_L(nf, ComoduleWord(wword.letters + shifted_v))
+    return certified_grade(
+        [beta, l_vw, l_wv], lambda fs: fs[0] * fs[1] - fs[2] * fs[0], nf.D, nf.mode
+    )

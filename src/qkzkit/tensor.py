@@ -664,7 +664,10 @@ def certified_grade(factors, residual, D: int, mode: str = ADDITIVE) -> int | No
     factors are symbolic LegMatrices; residual maps them, or the same
     factors evaluated at a point, to a LegMatrix whose grade-g
     entries are Q-linear combinations of products taking at most one entry
-    from each factor.  Evaluation at a point that is no
+    from each factor.  So every operand that carries h-grades is a factor,
+    an evaluated one lifted once, since the bounds see the grades of the
+    factors alone; a grade-0 constant, such as a leg permutation or Id,
+    may stay inside residual.  Evaluation at a point that is no
     pole commutes with the ring operations, and Lambda_g times the grade-g
     residual is a polynomial of degree at most B_g (degree_bounds), so
     grade g is zero once B_g + 1 points read zero there; a nonzero reading

@@ -348,6 +348,21 @@ class TestQuasiclassical:
         inst = make_instance(nf, 3)
         assert check_quasiclassical(inst) is None
 
+    @pytest.mark.parametrize("name", ["nf_rat2", "nf_trig"])
+    def test_perturbed_nabla_fails_at_grade_one(self, name, request):
+        # nabla_2 + h E: the h^1 grade it is compared at differs from the
+        # sum of classical terms, so the row reads 1, the grade compared
+        nf = request.getfixturevalue(name)
+        inst = make_instance(nf, 3)
+        nabla = inst.nabla(2)
+        fault = LegMatrix(nabla.shape, {(0, 1): (0, 1) + (0,) * (nf.D - 1)},
+                          nf.D, nf.mode, 1)
+        inst._nablas[(2, inst.z)] = nabla + fault
+        assert check_quasiclassical(inst) == 1
+        [result] = [r for r in run_checks(suite_qkz(nf, [inst]))
+                    if r.name == "inst0.quasiclassical"]
+        assert result.status == "fails-at-grade-1"
+
 
 class TestResidual:
     def test_first_order_solution(self, nf_rat2):
