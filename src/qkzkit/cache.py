@@ -51,7 +51,7 @@ def _payload_digest(payload: dict) -> str:
 
 
 def _encode(nf: NormalizedFamily) -> dict:
-    return {"descriptor": nf.family.descriptor(), "f0": scalar_to_list(nf.f0)}
+    return {"descriptor": nf.descriptor(), "f0": scalar_to_list(nf.f0)}
 
 
 def _decode(payload: dict, F: RMatrixFamily) -> NormalizedFamily:

@@ -127,7 +127,7 @@ def valued(m: LegMatrix, off: ArgShift, hscale) -> LegMatrix:
 
 
 class RMatrixFamily:
-    """Constructor and cache for R(w) on legs [N, N]."""
+    """Constructor and cache for R(w) on legs [N, N] and its values."""
 
     def __init__(self, family: str, N: int, D: int):
         if family == RATIONAL:
@@ -150,6 +150,7 @@ class RMatrixFamily:
         # coordinate being the square root of the group-like one
         self.hshift_scale = Fraction(1, 2) if family == TRIGONOMETRIC else Fraction(1)
         self._base: LegMatrix | None = None
+        self._values: dict = {}  # r_value memo, by argument
 
     # -- construction -------------------------------------------------
     @property
@@ -166,8 +167,12 @@ class RMatrixFamily:
         return displaced(self.base, off, self.hshift_scale)
 
     def r_value(self, off: ArgShift) -> LegMatrix:
-        """R at a fully substituted argument (no symbolic coordinate left)."""
-        return valued(self.base, off, self.hshift_scale)
+        """R at a fully substituted argument (no symbolic coordinate left),
+        computed once per argument."""
+        m = self._values.get(off)
+        if m is None:
+            m = self._values[off] = valued(self.base, off, self.hshift_scale)
+        return m
 
     def identity(self, legs: int = 2) -> LegMatrix:
         return LegMatrix.identity(
@@ -255,7 +260,7 @@ def _build_trigonometric_matrix(D: int) -> LegMatrix:
 
 def ladder_factors(F, offs) -> list:
     """R^{1,2}(off_1), R^{1,3}(off_2), ... on legs [N]^(1+len(offs)), leg 1
-    auxiliary, for a raw or a normalized family F."""
+    auxiliary."""
     big = LegShape([F.N] * (1 + len(offs)))
     return [F.r(off).embed(big, (1, k)) for k, off in enumerate(offs, start=2)]
 
@@ -354,7 +359,7 @@ def extract_scalar(m: LegMatrix) -> Scalar:
 
 
 def unitarity_product(F) -> LegMatrix:
-    """R(w) R^{21}(-w) for the matrix F.r() of a raw or a normalized family."""
+    """R(w) R^{21}(-w) for the matrix F.r() of the family F."""
     r = F.r()
     sigma = F.sigma()
     return r * (sigma * r.map_entries(lambda s: s.negate_arg()) * sigma)
@@ -385,6 +390,8 @@ def check_classical_ybe(F: RMatrixFamily, samples=None):
     + [r13, r23], the h^2 grade of the full YBE too, so it fails at grade 2
     where qybe reads the same fault.  Returns the least first nonzero
     grade, or None."""
+    if F.D < 1:
+        raise KernelError("the classical YBE needs D >= 1")
     if samples is None:
         samples = default_samples(F, 3)
     return _sampled_ybe(F, samples, classical=True)

@@ -25,14 +25,12 @@ from .errors import KernelError, LiftFailure, NonUnitError, ShapeMismatch
 from .families import (
     ArgShift,
     RMatrixFamily,
-    displaced,
     extract_scalar,
     ladder_factors,
     shift_scalar,
     shift_sub,
     unitarity_product,
     unitarity_scalar,
-    valued,
 )
 from .hseries import HSeries
 from .ratfn import RF_ONE, RF_ZERO
@@ -156,9 +154,8 @@ def contract(mats) -> LegMatrix:
     return minors[tuple(range(N))]
 
 
-def qdet_apply(F, x_at) -> LegMatrix:
-    """Image of the determinant element of F (raw or normalized) under
-    blocks of x.
+def qdet_apply(F: RMatrixFamily, x_at) -> LegMatrix:
+    """Image of the determinant element of F under blocks of x.
 
     x_at(s) must return an operator whose leg 1 is the auxiliary [N] leg;
     the result acts on the remaining legs:
@@ -168,10 +165,9 @@ def qdet_apply(F, x_at) -> LegMatrix:
     return contract([x_at(s) for s in ladder_shifts(F.N, F.D)])
 
 
-def compute_rho(F) -> Scalar:
-    """The scalar by which the determinant element acts in the vector
-    representation (x -> R with auxiliary first leg), for a raw or a
-    normalized family F."""
+def compute_rho(F: RMatrixFamily) -> Scalar:
+    """The scalar by which the determinant element of F acts in the vector
+    representation (x -> R with auxiliary first leg)."""
     return extract_scalar(qdet_apply(F, lambda s: F.r(ArgShift.of_h(s, F.mode))))
 
 
@@ -203,44 +199,19 @@ def solve_f0(F: RMatrixFamily, target: Scalar) -> Scalar:
     return f0
 
 
-class NormalizedFamily:
-    """An R-matrix family rescaled by the unit f0 so its determinant element
-    acts as 1."""
+class NormalizedFamily(RMatrixFamily):
+    """The family of raw's name, N and D whose base is f0 R, with f0 the unit
+    that makes its determinant element act as 1."""
 
-    def __init__(self, F: RMatrixFamily, f0: Scalar):
-        self.family = F
+    def __init__(self, raw: RMatrixFamily, f0: Scalar):
+        super().__init__(raw.family, raw.N, raw.D)
+        self.raw = raw
         self.f0 = f0
-        self.rbar = F.base.mul_scalar(f0)
-        self._values: dict = {}  # r_value memo, by argument
+        self._base = raw.base.mul_scalar(f0)
 
-    @property
-    def N(self) -> int:
-        return self.family.N
-
-    @property
-    def D(self) -> int:
-        return self.family.D
-
-    @property
-    def mode(self) -> str:
-        return self.family.mode
-
-    def r(self, off: ArgShift | None = None) -> LegMatrix:
-        """Rbar with the symbolic argument displaced by off."""
-        return displaced(self.rbar, off, self.family.hshift_scale)
-
-    def r_value(self, off: ArgShift) -> LegMatrix:
-        """Rbar at a fully substituted argument, computed once per argument."""
-        m = self._values.get(off)
-        if m is None:
-            m = self._values[off] = valued(self.rbar, off, self.family.hshift_scale)
-        return m
-
-    def identity(self, legs: int = 2) -> LegMatrix:
-        return self.family.identity(legs)
-
-    def sigma(self) -> LegMatrix:
-        return self.family.sigma()
+    # in the class's own dict, where bench/layers.py wraps them (ROADMAP item 12)
+    r = RMatrixFamily.r
+    r_value = RMatrixFamily.r_value
 
     # -- the identities the rescaling is supposed to buy ----------------
     def normalized_rho(self) -> Scalar:
@@ -263,8 +234,8 @@ class NormalizedFamily:
     def crossing_defect(self):
         """First nonzero grade of theta^2(Rbar) - Rbar(arg shifted by N h),
         or None when the crossing identity holds on the nose."""
-        theta2 = self.rbar.theta().theta()
-        shifted = self.r(ArgShift.of_h(self.family.crossing_hshift, self.mode))
+        theta2 = self.base.theta().theta()
+        shifted = self.r(ArgShift.of_h(self.crossing_hshift, self.mode))
         return (theta2 - shifted).first_nonzero_grade()
 
 
@@ -277,25 +248,23 @@ def normalize(F: RMatrixFamily) -> NormalizedFamily:
     return nf
 
 
-def pairing_contraction(nf: NormalizedFamily, points, raw=False):
+def pairing_contraction(F: RMatrixFamily, points):
     """The determinant contraction through an n-fold ladder of R-factors at
     the given evaluation points, minus Id, as (factors, residual).
 
-    factors are the N ladders' displaced Rbar-factors (R-factors when raw)
-    in order; residual(factors) is the contraction minus Id over the ring
-    of the factors' entries, so it also takes the factors evaluated at a
-    point.
+    factors are the N ladders' displaced R-factors of F in order;
+    residual(factors) is the contraction minus Id over the ring of the
+    factors' entries, so it also takes the factors evaluated at a point.
     """
-    D, mode, n = nf.D, nf.mode, len(points)
+    D, mode, n = F.D, F.mode, len(points)
     if not n:
         raise ShapeMismatch("the pairing ladder needs at least one point")
-    src = nf.family if raw else nf
     factors = []
-    for s in ladder_shifts(nf.N, D):
+    for s in ladder_shifts(F.N, D):
         # the arguments w + s - a
         here = ArgShift.of_h(s, mode)
         factors += ladder_factors(
-            src, [shift_sub(here, ArgShift.of(a, D), mode) for a in points]
+            F, [shift_sub(here, ArgShift.of(a, D), mode) for a in points]
         )
     big = factors[0].shape
 
@@ -310,22 +279,21 @@ def pairing_contraction(nf: NormalizedFamily, points, raw=False):
     return factors, residual
 
 
-def check_pairing_qdet(nf: NormalizedFamily, points, raw=False):
-    """Defect of the determinant element acting through an n-fold ladder of
-    R-factors at the given evaluation points.
+def check_pairing_qdet(F: RMatrixFamily, points):
+    """Defect of the determinant element of F acting through an n-fold
+    ladder of R-factors at the given evaluation points.
 
     Returns the first nonzero grade of (result - Id), or None when the
     action is exactly the identity, decided by certified evaluation of
-    pairing_contraction.  With raw=True the un-rescaled family is used
-    instead, which is the control that the normalization matters.
+    pairing_contraction.
     """
-    factors, residual = pairing_contraction(nf, points, raw)
-    return certified_grade(factors, residual, nf.D, nf.mode)
+    factors, residual = pairing_contraction(F, points)
+    return certified_grade(factors, residual, F.D, F.mode)
 
 
 def check_pairing_control(nf: NormalizedFamily, points):
-    """The control of check_pairing_qdet: without the rescaling the
-    contraction must differ from Id at some grade up to D.  Returns None
+    """The control of check_pairing_qdet: without the rescaling (on nf.raw)
+    the contraction must differ from Id at some grade up to D.  Returns None
     when it does, and D when it equals Id at every grade up to D: the
     control is refuted only once its last grade is seen."""
-    return None if check_pairing_qdet(nf, points, raw=True) is not None else nf.D
+    return None if check_pairing_qdet(nf.raw, points) is not None else nf.D

@@ -9,9 +9,8 @@ evaluated at differences of base points, acting on the full fiber.
 from __future__ import annotations
 
 from .errors import ShapeMismatch
-from .families import ArgShift
+from .families import ArgShift, RMatrixFamily
 from .hseries import HSeries
-from .qdet import NormalizedFamily
 from .reps import build_braiding, build_rvw, shift_add, shift_sub
 from .scalar import Scalar
 from .tensor import LegMatrix, LegShape, least_grade
@@ -29,7 +28,7 @@ class QKZInstance:
 
     __slots__ = ("nf", "z", "words", "K", "_nablas", "_factors")
 
-    def __init__(self, nf: NormalizedFamily, z: tuple, words: tuple, K: HSeries):
+    def __init__(self, nf: RMatrixFamily, z: tuple, words: tuple, K: HSeries):
         if len(z) != len(words):
             raise ShapeMismatch("one word per base point required")
         if K.truncation != nf.D:

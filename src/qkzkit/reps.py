@@ -9,8 +9,7 @@ leg swap composed with the inverse of R_VW.
 from __future__ import annotations
 
 from .errors import ShapeMismatch
-from .families import ArgShift, ladder, shift_add, shift_sub
-from .qdet import NormalizedFamily
+from .families import ArgShift, RMatrixFamily, ladder, shift_add, shift_sub
 from .tensor import LegMatrix, LegShape, certified_grade, least_grade
 
 
@@ -44,12 +43,12 @@ class ComoduleWord:
         return len(self.letters)
 
 
-def word_leg_shape(nf: NormalizedFamily, *words) -> LegShape:
+def word_leg_shape(nf: RMatrixFamily, *words) -> LegShape:
     return LegShape([nf.N] * sum(len(w) for w in words))
 
 
 def build_rvw(
-    nf: NormalizedFamily,
+    nf: RMatrixFamily,
     vword: ComoduleWord,
     wword: ComoduleWord,
     off: ArgShift | None = None,
@@ -86,7 +85,7 @@ def build_rvw(
     )
 
 
-def block_swap(nf: NormalizedFamily, p: int, q: int, evaluated=False) -> LegMatrix:
+def block_swap(nf: RMatrixFamily, p: int, q: int, evaluated=False) -> LegMatrix:
     """The permutation sending V-legs 1..p past W-legs p+1..p+q, symbolic or
     evaluated."""
     shape = LegShape([nf.N] * (p + q))
@@ -95,7 +94,7 @@ def block_swap(nf: NormalizedFamily, p: int, q: int, evaluated=False) -> LegMatr
 
 
 def build_braiding(
-    nf: NormalizedFamily,
+    nf: RMatrixFamily,
     vword: ComoduleWord,
     wword: ComoduleWord,
     off: ArgShift | None = None,
@@ -108,7 +107,7 @@ def build_braiding(
 
 
 def check_hexagon(
-    nf: NormalizedFamily,
+    nf: RMatrixFamily,
     vword: ComoduleWord,
     wword: ComoduleWord,
     off: ArgShift | None = None,
@@ -139,12 +138,11 @@ def check_hexagon(
     return least_grade((a * b - full).first_nonzero_grade() for a, b in pairs)
 
 
-def ybe_factors(F, words, offs) -> list:
-    """The factors of Yang-Baxter for three words on U (x) V (x) W, for a
-    raw or a normalized family F: R_UV and R_UW, the U-variable symbolic,
-    and R_VW, evaluated and lifted once.  words = (U, V, W); offs =
-    (off_uv, off_uw, off_vw), difference-consistent: off_uw = off_uv +
-    off_vw."""
+def ybe_factors(F: RMatrixFamily, words, offs) -> list:
+    """The factors of Yang-Baxter for three words on U (x) V (x) W: R_UV
+    and R_UW, the U-variable symbolic, and R_VW, evaluated and lifted once.
+    words = (U, V, W); offs = (off_uv, off_uw, off_vw), difference-
+    consistent: off_uw = off_uv + off_vw."""
     u, v, w = words
     off_uv, off_uw, off_vw = offs
     big = word_leg_shape(F, *words)
@@ -164,14 +162,14 @@ def ybe_residual(fs) -> LegMatrix:
     return r_uv * r_uw * r_vw - r_vw * r_uw * r_uv
 
 
-def check_braid_relation(nf: NormalizedFamily, words, offs):
+def check_braid_relation(nf: RMatrixFamily, words, offs):
     """Yang-Baxter for three words, R_UV R_UW R_VW = R_VW R_UW R_UV,
     decided by certified evaluation of ybe_factors; returns the first
     nonzero grade of the difference, or None."""
     return certified_grade(ybe_factors(nf, words, offs), ybe_residual, nf.D, nf.mode)
 
 
-def build_L(nf: NormalizedFamily, word: ComoduleWord) -> LegMatrix:
+def build_L(nf: RMatrixFamily, word: ComoduleWord) -> LegMatrix:
     """The evaluation operator of a word on legs [N]^(1+len); leg 1 is the
     auxiliary leg, and the factors Rbar(w - a_k) multiply left-to-right in
     word order."""
@@ -180,7 +178,7 @@ def build_L(nf: NormalizedFamily, word: ComoduleWord) -> LegMatrix:
 
 
 def check_rvw_unitarity(
-    nf: NormalizedFamily,
+    nf: RMatrixFamily,
     vword: ComoduleWord,
     wword: ComoduleWord,
     off: ArgShift | None = None,
@@ -205,7 +203,7 @@ def check_rvw_unitarity(
 
 
 def check_intertwiner(
-    nf: NormalizedFamily,
+    nf: RMatrixFamily,
     vword: ComoduleWord,
     wword: ComoduleWord,
     off: ArgShift,

@@ -7,7 +7,6 @@ grade + 1; the tests derive each row's failing grade from that.
 from fractions import Fraction
 
 from qkzkit.hseries import HSeries
-from qkzkit.qdet import NormalizedFamily
 from qkzkit.scalar import Scalar
 from qkzkit.tensor import LegMatrix
 
@@ -23,13 +22,8 @@ def fault_matrix(m: LegMatrix, grade: int, entries=E) -> LegMatrix:
 
 
 def planted(F, grade, entries=E):
-    """F with its R replaced by R + h^grade E."""
+    """F, raw or normalized, with its base matrix R replaced by
+    R + h^grade E, in place; values memoized before are dropped."""
     F._base = F.base + fault_matrix(F.base, grade, entries)
+    F._values.clear()
     return F
-
-
-def planted_nf(nf: NormalizedFamily, grade, entries=E) -> NormalizedFamily:
-    """A copy of nf whose R̄ is R̄ + h^grade E; nf itself is unchanged."""
-    bad = NormalizedFamily(nf.family, nf.f0)
-    bad.rbar = nf.rbar + fault_matrix(nf.rbar, grade, entries)
-    return bad

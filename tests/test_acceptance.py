@@ -114,7 +114,7 @@ class TestCriterion04DeterminantPipeline:
     @pytest.mark.parametrize("name", ["nf_rat2", "nf_rat3", "nf_trig"])
     def test_ladder_product_equation(self, name, request):
         nf = request.getfixturevalue(name)
-        F = nf.family
+        F = nf.raw
         prod = Scalar.one(F.D, F.mode)
         for s in ladder_shifts(F.N, F.D):
             prod = prod * shift_scalar(nf.f0, ArgShift.of_h(s, F.mode), F.hshift_scale)
@@ -166,7 +166,7 @@ class TestCriterion06PairingDeterminant:
             if nf.mode == ADDITIVE
             else [Fraction(2), Fraction(3)]
         )
-        assert check_pairing_qdet(nf, two_pts, raw=True) is not None
+        assert check_pairing_qdet(nf.raw, two_pts) is not None
 
 
 class TestCriterion07RepresentationSuite:

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import product_oracle as oracle
 from fraction_poly import pdivmod
-from planting import E, planted, planted_nf
+from planting import E, planted
 from qkzkit import families, reps
 from qkzkit.families import (
     build_rational,
@@ -20,6 +20,7 @@ from qkzkit.families import (
     check_qybe,
     default_samples,
 )
+from qkzkit.qdet import NormalizedFamily
 from qkzkit.ratfn import pdeg, pmul
 from qkzkit.reps import (
     ComoduleWord,
@@ -55,7 +56,8 @@ def planted_row(family, row, g, entries, request):
             lambda: None if oracle.classical_ybe(F, pair) is None else 2,
             families,
         )
-    nf = planted_nf(request.getfixturevalue(NF[family]), g, entries)
+    nf = request.getfixturevalue(NF[family])
+    nf = planted(NormalizedFamily(nf.raw, nf.f0), g, entries)
     v, w, off, offs = _rep_words(nf)
     e = ComoduleWord(w.letters[:1])
     args = {

@@ -134,6 +134,12 @@ class TestQYBE:
             assert check_classical_ybe(F) is None
 
     @pytest.mark.parametrize("build", [build_rational, build_trigonometric])
+    def test_classical_ybe_needs_an_h1_grade(self, build):
+        # at D = 0 the family has no h^1 matrix to cut R mod h^2 from
+        with pytest.raises(KernelError, match=r"classical YBE needs D >= 1"):
+            check_classical_ybe(build(2, 0))
+
+    @pytest.mark.parametrize("build", [build_rational, build_trigonometric])
     @pytest.mark.parametrize("g, grade", [(2, 3), (3, 4), (4, None)])
     def test_planted_fault_reports_its_grade(self, build, g, grade):
         # R + h^g E with R_0 = Id: at grade g both sides of the braid

@@ -12,6 +12,7 @@ from planting import planted
 from qkzkit.errors import LiftFailure, NonUnitError, ShapeMismatch
 from qkzkit.families import (
     ArgShift,
+    RMatrixFamily,
     build_rational,
     build_trigonometric,
     shift_scalar,
@@ -276,7 +277,7 @@ class TestNormalizingScalar:
     @pytest.mark.parametrize("name", ["nf_rat2", "nf_trig"])
     def test_ladder_product_equation(self, name, request):
         nf = request.getfixturevalue(name)
-        F = nf.family
+        F = nf.raw
         prod = Scalar.one(F.D, F.mode)
         for s in ladder_shifts(F.N, F.D):
             prod = prod * shift_scalar(nf.f0, ArgShift.of_h(s, F.mode), F.hshift_scale)
@@ -292,6 +293,28 @@ class TestNormalizingScalar:
 
 
 class TestNormalizedFamily:
+    @pytest.mark.parametrize("name", ["nf_rat2", "nf_trig"])
+    def test_a_normalized_family_is_a_family(self, name, request):
+        nf = request.getfixturevalue(name)
+        F = nf.raw
+        assert isinstance(nf, RMatrixFamily)
+        for attr in (
+            "family", "N", "D", "mode", "shape", "hshift_scale", "crossing_hshift",
+        ):
+            assert getattr(nf, attr) == getattr(F, attr)
+        assert nf.descriptor() == F.descriptor()
+        assert nf.base == F.base.mul_scalar(nf.f0)
+
+    def test_raw_values_are_memoized(self):
+        F = build_rational(2, 2)
+        off = ArgShift.of(Fraction(5, 2), F.D)
+        assert F.r_value(off) is F.r_value(off)
+
+    def test_r_and_r_value_sit_in_the_class_dict(self):
+        # bench/layers.py wraps NormalizedFamily.r and .r_value by reading
+        # the class's own __dict__, so inheriting them is not enough
+        assert {"r", "r_value"} <= set(vars(NormalizedFamily))
+
     @pytest.mark.parametrize("name", ["nf_rat2", "nf_rat3", "nf_trig"])
     def test_rescaled_determinant_acts_as_one(self, name, request):
         nf = request.getfixturevalue(name)
@@ -309,7 +332,7 @@ class TestNormalizedFamily:
         grades = [RF_ZERO] * (nf.D + 1)
         grades[3] = RF_ONE
         bump = Scalar(grades, nf.mode)
-        bad = NormalizedFamily(nf.family, nf.f0 + bump)
+        bad = NormalizedFamily(nf.raw, nf.f0 + bump)
         specs = [
             s for s in suite_normalize(bad)
             if s[0] in ("normalized-qdet", "normalized-unitarity")
@@ -376,7 +399,7 @@ class TestPairing:
         # a family that is already normalized: its raw contraction is Id at
         # every grade, so the control has nothing to show and reports D
         F = build_rational(2, nf_rat2.D)
-        F._base = nf_rat2.rbar
+        F._base = nf_rat2.base
         one = Scalar.one(nf_rat2.D, nf_rat2.mode)
         same = NormalizedFamily(F, one)
         pts = [Fraction(1), Fraction(5, 2)]
@@ -424,7 +447,7 @@ class TestPairing:
             if nf.mode == "additive"
             else [Fraction(2), Fraction(3)]
         )
-        grade = check_pairing_qdet(nf, pts, raw=True)
+        grade = check_pairing_qdet(nf.raw, pts)
         assert grade is not None and grade >= 1
 
 
@@ -440,19 +463,19 @@ class TestValues:
             if nf.mode == "additive":
                 value = HSeries.constant(c, D) + off.hpart
             else:
-                value = off.hpart.scale(nf.family.hshift_scale).exp().scale(c)
+                value = off.hpart.scale(nf.hshift_scale).exp().scale(c)
             p = Point(value, nf.mode)
             m = nf.r_value(off)
-            n = nf.rbar.shape.total
+            n = nf.base.shape.total
             for r in range(n):
                 for col in range(n):
-                    sym = nf.rbar.get(r, col)
+                    sym = nf.base.get(r, col)
                     # a fresh Scalar, so no derivative chain is shared
                     want = Scalar(sym.grades, sym.mode).eval(p)
                     assert m.get(r, col) == want
 
     def test_repeated_argument_is_not_evaluated_again(self, nf_rat2, monkeypatch):
-        nf = NormalizedFamily(nf_rat2.family, nf_rat2.f0)
+        nf = NormalizedFamily(nf_rat2.raw, nf_rat2.f0)
         calls = []
         evaluate = Scalar.eval
 
@@ -473,8 +496,8 @@ class TestNormalizedRowsReportGrades:
         # both rows report the grade instead of an error
         nf = normalize(build_rational(2, 2))
         h2 = Scalar.from_hseries(HSeries.h(nf.D, 2), nf.mode)
-        fault = LegMatrix(nf.rbar.shape, {(0, 1): h2}, nf.D, nf.mode)
-        nf.rbar = nf.rbar + fault
+        fault = LegMatrix(nf.base.shape, {(0, 1): h2}, nf.D, nf.mode)
+        nf._base = nf.base + fault
         status = {r.name: r.status for r in run_checks(suite_normalize(nf))}
         assert status["normalized-qdet"] == "fails-at-grade-2"
         assert status["normalized-unitarity"] == "fails-at-grade-2"
@@ -498,7 +521,8 @@ class TestCertifiedPairing:
         # Lambda_g times every grade-g residual entry clears to a
         # polynomial of degree at most B_g
         nf = request.getfixturevalue(name)
-        factors, residual = pairing_contraction(nf, pairing_points(nf), raw=raw)
+        F = nf.raw if raw else nf
+        factors, residual = pairing_contraction(F, pairing_points(nf))
         bounds = degree_bounds(factors, nf.D)
         image = residual(factors)
         assert raw == (not image.is_zero)
@@ -518,7 +542,8 @@ class TestCertifiedPairing:
         # the same max-plus/lcm pass over the monic Fraction views num/den:
         # per grade the same B_g, and Lambda_g up to a rational unit
         nf = request.getfixturevalue(name)
-        factors, _ = pairing_contraction(nf, pairing_points(nf), raw=raw)
+        F = nf.raw if raw else nf
+        factors, _ = pairing_contraction(F, pairing_points(nf))
         one = (Fraction(1),)
         reach = {0: (one, 0)}
         for f in factors:
@@ -553,9 +578,9 @@ class TestCertifiedPairing:
         nf = request.getfixturevalue(name)
         grades = [RF_ZERO] * (nf.D + 1)
         grades[3] = RatFn((Fraction(1),), (Fraction(-1), Fraction(1)))
-        bad = NormalizedFamily(nf.family, nf.f0)
+        bad = NormalizedFamily(nf.raw, nf.f0)
         fault = {(0, 1): Scalar(grades, nf.mode)}
-        bad.rbar = nf.rbar + LegMatrix(nf.rbar.shape, fault, nf.D, nf.mode)
+        bad._base = nf.base + LegMatrix(nf.base.shape, fault, nf.D, nf.mode)
         pts = pairing_points(nf)
         factors, residual = pairing_contraction(bad, pts)
         assert residual(factors).first_nonzero_grade() == 3
@@ -591,7 +616,8 @@ def test_certified_grade_matches_the_symbolic_residual(nf_rat2_d3, planted, raw)
     # a rational perturbation of one entry of one ladder factor at one grade
     nf = nf_rat2_d3
     i, key, grade, fault = planted
-    factors, residual = pairing_contraction(nf, [Fraction(1), Fraction(5, 2)], raw=raw)
+    pts = [Fraction(1), Fraction(5, 2)]
+    factors, residual = pairing_contraction(nf.raw if raw else nf, pts)
     grades = [RF_ZERO] * (nf.D + 1)
     grades[grade] = fault
     f = factors[i]

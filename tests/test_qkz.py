@@ -1,13 +1,13 @@
 from fractions import Fraction
 
 import pytest
-from planting import planted_nf
+from planting import planted
 
 from qkzkit import qkz, tensor
 from qkzkit.errors import ShapeMismatch
 from qkzkit.families import ArgShift, build_rational
 from qkzkit.hseries import HSeries
-from qkzkit.qdet import normalize
+from qkzkit.qdet import NormalizedFamily, normalize
 from qkzkit.qkz import (
     QKZInstance,
     build_nabla,
@@ -85,7 +85,8 @@ class TestInstance:
     def test_zero_step_gets_a_fresh_memo(self, nf_rat2, monkeypatch):
         # the zero-step instance has another K, so it must not reuse the
         # nabla's that check_flatness stored on the instance it came from
-        inst = make_instance(planted_nf(nf_rat2, 2), 3)
+        bad = planted(NormalizedFamily(nf_rat2.raw, nf_rat2.f0), 2)
+        inst = make_instance(bad, 3)
         fresh = check_commutativity_at_zero_step(make_instance(inst.nf, 3))
         check_flatness(inst)
         assert inst._nablas
@@ -310,7 +311,9 @@ class TestFlatness:
         # nabla_i and nabla_j, so both read the same grade, with and
         # without Rbar + h^g E planted
         nf = request.getfixturevalue(name)
-        inst = make_instance(nf if g is None else planted_nf(nf, g), 3)
+        if g is not None:
+            nf = planted(NormalizedFamily(nf.raw, nf.f0), g)
+        inst = make_instance(nf, 3)
         assert commutator_grade(inst) == grade
         assert check_commutativity_at_zero_step(inst) == grade
 
@@ -334,7 +337,8 @@ class TestEquivariance:
         # Rbar + h^g E: below index n the two sides first differ at g + 1,
         # where E meets the classical r (past D = 4 when g = 4); index n
         # has nothing to conjugate
-        inst = make_instance(planted_nf(request.getfixturevalue(name), g), 3)
+        nf = request.getfixturevalue(name)
+        inst = make_instance(planted(NormalizedFamily(nf.raw, nf.f0), g), 3)
         want = g + 1 if g + 1 <= inst.nf.D else None
         assert [check_braiding_equivariance(inst, i) for i in (1, 2, 3)] == [
             want, want, None,

@@ -1,11 +1,12 @@
 from fractions import Fraction
 
 import pytest
-from planting import planted_nf
+from planting import planted
 
 from qkzkit import reps
 from qkzkit.families import ArgShift
 from qkzkit.hseries import HSeries
+from qkzkit.qdet import NormalizedFamily
 from qkzkit.reps import (
     ComoduleWord,
     block_swap,
@@ -175,7 +176,8 @@ class TestPlantedFaults:
         # of E's on both sides and cancel; the first grade that differs is
         # g + 1, where E meets the classical r in a different order (past
         # D = 4 when g = 4)
-        nf = planted_nf(request.getfixturevalue(name), g)
+        nf = request.getfixturevalue(name)
+        nf = planted(NormalizedFamily(nf.raw, nf.f0), g)
         late = f"fails-at-grade-{g + 1}" if g < nf.D else "exact-zero"
         specs = [s for s in suite_reps(nf) if s[0] != "hexagon"]
         assert {r.name: r.status for r in run_checks(specs)} == {
