@@ -6,8 +6,8 @@ families (the certified rows at their largest degree bounds B_g, and, in
 the multiplicative coordinate, past the skipped point 0); suite `crossing`
 on the 16x16 rational N=4 operators and at the trigonometric D=6 (the
 deepest h-adic inverse lift); suite `normalize` at D=4, whose pairing rows
-reach grades 3 and 4; and suite `qkz` at D=4, whose connection operators
-are evaluated over Q[[h]].
+reach grades 3 and 4, for rational N=3 and N=4 and trigonometric N=2; and
+suite `qkz` at D=4, whose connection operators are evaluated over Q[[h]].
 
 A refactor that changes any verdict, check name, identity text, config echo
 or key order shows up here.  To regenerate after an intended change:
@@ -45,6 +45,9 @@ CONFIGS = {
     },
     "rational-N3-D4-normalize": {
         "family": "rational", "N": 3, "D": 4, "suite": "normalize",
+    },
+    "rational-N4-D4-normalize": {
+        "family": "rational", "N": 4, "D": 4, "suite": "normalize",
     },
     "trigonometric-N2-D4-normalize": {
         "family": "trigonometric", "N": 2, "D": 4, "suite": "normalize",
