@@ -317,7 +317,7 @@ def _sampled_ybe(F: RMatrixFamily, samples, classical=False):
             fs = [LegMatrix(f.shape, {k: Scalar(s.grades[:2] + (RF_ZERO,), F.mode)
                                       for k, s in f.entries.items()}, 2, F.mode)
                   for f in fs]
-        grades.append(certified_grade(fs, ybe_residual, fs[0].D, F.mode))
+        grades.append(certified_grade(fs, ybe_residual))
     return least_grade(grades)
 
 

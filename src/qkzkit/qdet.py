@@ -1,12 +1,12 @@
 """The quantum determinant and the normalizing scalar of an R-matrix family.
 
 The pipeline: check that the classical antisymmetrizer is an eigenvector of
-the N-fold ladder of R-factors at the ladder shifts, at every h-grade;
-evaluate the determinant element in the vector representation to get the
-scalar rho; solve the product functional equation for the normalizing unit
-f0; and rescale R so that the determinant acts as 1.  f0 is the whole
-output: the determinant vector is the fixed antisymmetrizer, whose signs
-contract builds in, and the shifts are ladder_shifts(N, D).
+the N-fold ladder of R-factors at the ladder shifts, at every h-grade, whose
+eigenvalue is the scalar rho by which the determinant element acts in the
+vector representation; solve the product functional equation for the
+normalizing unit f0; and rescale R so that the determinant acts as 1.  f0
+is the whole output: the determinant vector is the fixed antisymmetrizer,
+whose signs contract builds in, and the shifts are ladder_shifts(N, D).
 
 The ladder is never formed.  The antisymmetrizer is checked on a thin
 operator whose N columns are e_b (x) v0: the N ladder factors applied to it,
@@ -29,7 +29,6 @@ from .families import (
     ladder_factors,
     shift_scalar,
     shift_sub,
-    unitarity_product,
     unitarity_scalar,
 )
 from .hseries import HSeries
@@ -154,21 +153,16 @@ def contract(mats) -> LegMatrix:
     return minors[tuple(range(N))]
 
 
-def qdet_apply(F: RMatrixFamily, x_at) -> LegMatrix:
-    """Image of the determinant element of F under blocks of x.
-
-    x_at(s) must return an operator whose leg 1 is the auxiliary [N] leg;
-    the result acts on the remaining legs:
-    sum_i C_i x_{1 i_1}(s_1) ... x_{N i_N}(s_N), C the antisymmetrizer and
-    s the ladder shifts.
-    """
-    return contract([x_at(s) for s in ladder_shifts(F.N, F.D)])
+def qdet_apply(F: RMatrixFamily) -> LegMatrix:
+    """Image of the determinant element of F in the vector representation,
+    sum_i C_i R_{1 i_1}(w + s_1) ... R_{N i_N}(w + s_N): C the antisymmetrizer,
+    s the ladder shifts, R_{ab} the (a, b) block of R in its first leg."""
+    return contract([F.r(ArgShift.of_h(s, F.mode)) for s in ladder_shifts(F.N, F.D)])
 
 
 def compute_rho(F: RMatrixFamily) -> Scalar:
-    """The scalar by which the determinant element of F acts in the vector
-    representation (x -> R with auxiliary first leg)."""
-    return extract_scalar(qdet_apply(F, lambda s: F.r(ArgShift.of_h(s, F.mode))))
+    """rho, the scalar by which qdet_apply(F) is a multiple of Id."""
+    return extract_scalar(qdet_apply(F))
 
 
 def solve_f0(F: RMatrixFamily, target: Scalar) -> Scalar:
@@ -221,16 +215,6 @@ class NormalizedFamily(RMatrixFamily):
     def unitarity_scalar(self) -> Scalar:
         return unitarity_scalar(self)
 
-    def qdet_defect(self):
-        """First nonzero grade of the determinant element's image minus Id,
-        or None when it acts as 1."""
-        image = qdet_apply(self, lambda s: self.r(ArgShift.of_h(s, self.mode)))
-        return (image - self.identity(1)).first_nonzero_grade()
-
-    def unitarity_defect(self):
-        """First nonzero grade of Rbar(w) Rbar^{21}(-w) minus Id, or None."""
-        return (unitarity_product(self) - self.identity()).first_nonzero_grade()
-
     def crossing_defect(self):
         """First nonzero grade of theta^2(Rbar) - Rbar(arg shifted by N h),
         or None when the crossing identity holds on the nose."""
@@ -240,9 +224,11 @@ class NormalizedFamily(RMatrixFamily):
 
 
 def normalize(F: RMatrixFamily) -> NormalizedFamily:
-    """Run the full determinant-normalization pipeline and verify it."""
-    find_qdet_vector(F)  # LiftFailure unless the antisymmetrizer is the vector
-    nf = NormalizedFamily(F, solve_f0(F, compute_rho(F).inv()))
+    """The determinant normalization, verified: f0 solves its equation for the
+    antisymmetrizer's eigenvalue lam, and the rescaled rho, which is
+    rho prod_k f0(w + s_k) = rho / lam, must be 1, so lam = rho."""
+    lam = find_qdet_vector(F)
+    nf = NormalizedFamily(F, solve_f0(F, lam.inv()))
     if nf.normalized_rho() != Scalar.one(F.D, F.mode):
         raise KernelError("rescaled determinant scalar is not 1")
     return nf
@@ -288,7 +274,7 @@ def check_pairing_qdet(F: RMatrixFamily, points):
     pairing_contraction.
     """
     factors, residual = pairing_contraction(F, points)
-    return certified_grade(factors, residual, F.D, F.mode)
+    return certified_grade(factors, residual)
 
 
 def check_pairing_control(nf: NormalizedFamily, points):

@@ -8,7 +8,7 @@ leg swap composed with the inverse of R_VW.
 
 from __future__ import annotations
 
-from .errors import ShapeMismatch
+from .errors import KernelError, ShapeMismatch
 from .families import ArgShift, RMatrixFamily, ladder, shift_add, shift_sub
 from .tensor import LegMatrix, LegShape, certified_grade, least_grade
 
@@ -142,9 +142,11 @@ def ybe_factors(F: RMatrixFamily, words, offs) -> list:
     """The factors of Yang-Baxter for three words on U (x) V (x) W: R_UV
     and R_UW, the U-variable symbolic, and R_VW, evaluated and lifted once.
     words = (U, V, W); offs = (off_uv, off_uw, off_vw), difference-
-    consistent: off_uw = off_uv + off_vw."""
+    consistent: off_uw = off_uv + off_vw, or KernelError."""
     u, v, w = words
     off_uv, off_uw, off_vw = offs
+    if shift_add(off_uv, off_vw, F.mode) != off_uw:
+        raise KernelError("the YBE offsets need off_uw = off_uv + off_vw")
     big = word_leg_shape(F, *words)
     ends = [0, len(u), len(u) + len(v), len(big.dims)]
     lu, lv, lw = (tuple(range(a + 1, b + 1)) for a, b in zip(ends, ends[1:]))
@@ -166,7 +168,7 @@ def check_braid_relation(nf: RMatrixFamily, words, offs):
     """Yang-Baxter for three words, R_UV R_UW R_VW = R_VW R_UW R_UV,
     decided by certified evaluation of ybe_factors; returns the first
     nonzero grade of the difference, or None."""
-    return certified_grade(ybe_factors(nf, words, offs), ybe_residual, nf.D, nf.mode)
+    return certified_grade(ybe_factors(nf, words, offs), ybe_residual)
 
 
 def build_L(nf: RMatrixFamily, word: ComoduleWord) -> LegMatrix:
@@ -199,7 +201,7 @@ def check_rvw_unitarity(
         prod = block_swap(nf, p, q, ev) * fs[0] * block_swap(nf, q, p, ev) * fs[1]
         return prod - LegMatrix.identity(prod.shape, nf.D, mode, ev)
 
-    return certified_grade([rvw, rwv_neg], residual, nf.D, mode)
+    return certified_grade([rvw, rwv_neg], residual)
 
 
 def check_intertwiner(
@@ -222,6 +224,4 @@ def check_intertwiner(
     )
     l_vw = build_L(nf, ComoduleWord(shifted_v + wword.letters))
     l_wv = build_L(nf, ComoduleWord(wword.letters + shifted_v))
-    return certified_grade(
-        [beta, l_vw, l_wv], lambda fs: fs[0] * fs[1] - fs[2] * fs[0], nf.D, nf.mode
-    )
+    return certified_grade([beta, l_vw, l_wv], lambda fs: fs[0] * fs[1] - fs[2] * fs[0])

@@ -138,13 +138,16 @@ def suite_normalize(nf: NormalizedFamily):
     pts = [Fraction(1), Fraction(5, 2)] if nf.mode == "additive" else [
         Fraction(2), Fraction(3)
     ]
+    # the vector representation: a one-point ladder, a one-letter word
+    none = ArgShift.none(nf.D, nf.mode)
+    e = ComoduleWord((none,))
     return [
         ("normalized-qdet",
          "determinant element of the rescaled matrix acts as 1",
-         lambda: nf.qdet_defect()),
+         lambda: check_pairing_qdet(nf, [none.const])),
         ("normalized-unitarity",
          "rescaled R times its swapped reflection is the identity",
-         lambda: nf.unitarity_defect()),
+         lambda: check_rvw_unitarity(nf, e, e, none)),
         ("normalized-crossing",
          "double transpose-invert of rescaled R equals its displacement",
          lambda: nf.crossing_defect()),

@@ -658,23 +658,24 @@ def _small_integers():
         yield -k
 
 
-def certified_grade(factors, residual, D: int, mode: str = ADDITIVE) -> int | None:
+def certified_grade(factors, residual) -> int | None:
     """residual(factors).first_nonzero_grade(), decided at a few points.
 
-    factors are symbolic LegMatrices; residual maps them, or the same
-    factors evaluated at a point, to a LegMatrix whose grade-g
-    entries are Q-linear combinations of products taking at most one entry
-    from each factor.  So every operand that carries h-grades is a factor,
-    an evaluated one lifted once, since the bounds see the grades of the
-    factors alone; a grade-0 constant, such as a leg permutation or Id,
-    may stay inside residual.  Evaluation at a point that is no
-    pole commutes with the ring operations, and Lambda_g times the grade-g
-    residual is a polynomial of degree at most B_g (degree_bounds), so
-    grade g is zero once B_g + 1 points read zero there; a nonzero reading
-    is exact.  The points are the small integers that are no root of a
-    denominator (and not 0 in the multiplicative coordinate), taken until
-    every grade below the least failing one seen has its B_g + 1 points.
+    factors are symbolic LegMatrices, whose truncation D and mode are read
+    off the first; residual maps them, or the same factors evaluated at a
+    point, to a LegMatrix whose grade-g entries are Q-linear combinations of
+    products taking at most one entry from each factor.  So every operand
+    that carries h-grades is a factor, an evaluated one lifted once, since
+    the bounds see the grades of the factors alone; a grade-0 constant, such
+    as a leg permutation or Id, may stay inside residual.  Evaluation at a
+    point that is no pole commutes with the ring operations, and Lambda_g
+    times the grade-g residual is a polynomial of degree at most B_g
+    (degree_bounds), so grade g is zero once B_g + 1 points read zero there;
+    a nonzero reading is exact.  The points are the small integers that are
+    no root of a denominator (nor 0 in the multiplicative coordinate), taken
+    until each grade below the least failing one seen has its B_g + 1.
     """
+    D, mode = factors[0].D, factors[0].mode
     bounds = degree_bounds(factors, D)
     lams = [b[0] for b in bounds if b is not None]
     need = [0 if b is None else b[1] + 1 for b in bounds]

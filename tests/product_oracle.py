@@ -4,7 +4,14 @@ residual.  The library decides the same rows by certified evaluation
 (tensor.certified_grade); the tests compare the two verdicts.
 """
 
-from qkzkit.families import ArgShift, default_samples, shift_add, shift_sub
+from qkzkit.families import (
+    ArgShift,
+    default_samples,
+    shift_add,
+    shift_sub,
+    unitarity_product,
+)
+from qkzkit.qdet import qdet_apply
 from qkzkit.reps import ComoduleWord, block_swap, build_braiding, build_L, build_rvw
 from qkzkit.tensor import LegMatrix, LegShape, least_grade
 
@@ -91,3 +98,13 @@ def intertwiner(nf, vword, wword, off):
     l_vw = build_L(nf, ComoduleWord(shifted_v + wword.letters))
     l_wv = build_L(nf, ComoduleWord(wword.letters + shifted_v))
     return (beta * l_vw - l_wv * beta).first_nonzero_grade()
+
+
+def normalized_qdet(nf):
+    """The determinant element of Rbar at the ladder shifts acts as 1."""
+    return (qdet_apply(nf) - nf.identity(1)).first_nonzero_grade()
+
+
+def normalized_unitarity(nf):
+    """Rbar(w) Rbar^{21}(-w) = 1."""
+    return (unitarity_product(nf) - nf.identity()).first_nonzero_grade()

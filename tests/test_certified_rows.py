@@ -1,5 +1,6 @@
 """The product-identity rows `qybe`, `classical-ybe`, `mixed-ybe`,
-`rvw-unitarity` and `intertwiner` are decided by certified evaluation.  On
+`rvw-unitarity`, `intertwiner`, `normalized-qdet` and
+`normalized-unitarity` are decided by certified evaluation.  On
 planted faults their verdicts must be those of the symbolic oracles in
 product_oracle.py, and Lambda_g times every grade-g entry of the symbolic
 residual must clear to a polynomial of degree at most B_g.
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 import product_oracle as oracle
 from fraction_poly import pdivmod
 from planting import E, planted
-from qkzkit import families, reps
+from qkzkit import families, qdet, reps
 from qkzkit.families import (
     build_rational,
     build_trigonometric,
@@ -28,24 +29,33 @@ from qkzkit.reps import (
     check_intertwiner,
     check_rvw_unitarity,
 )
-from qkzkit.suites import _rep_words
+from qkzkit.suites import _rep_words, suite_normalize
 from qkzkit.tensor import degree_bounds
 
 BUILD = {"rational": build_rational, "trigonometric": build_trigonometric}
 NF = {"rational": "nf_rat2", "trigonometric": "nf_trig"}
-ROWS = ("qybe", "classical-ybe", "mixed-ybe", "rvw-unitarity", "intertwiner")
+ROWS = (
+    "qybe", "classical-ybe", "mixed-ybe", "rvw-unitarity", "intertwiner",
+    "normalized-qdet", "normalized-unitarity",
+)
 REPS_ROWS = {
     "mixed-ybe": (check_braid_relation, oracle.braid_relation),
     "rvw-unitarity": (check_rvw_unitarity, oracle.rvw_unitarity),
     "intertwiner": (check_intertwiner, oracle.intertwiner),
+}
+#: the suite_normalize rows: symbolic oracle, module of the certified check
+NORMALIZE_ROWS = {
+    "normalized-qdet": (oracle.normalized_qdet, qdet),
+    "normalized-unitarity": (oracle.normalized_unitarity, reps),
 }
 
 
 def planted_row(family, row, g, entries, request):
     """(certified check, symbolic oracle, module whose certified_grade the
     check calls) of one row, N = 2 and D = 4, with R + h^g E planted for
-    the qybe rows and Rbar + h^g E for the reps rows."""
-    if row not in REPS_ROWS:
+    the qybe rows and Rbar + h^g E for the reps and normalize rows; a
+    normalize row runs the thunk that suite_normalize builds."""
+    if row not in REPS_ROWS and row not in NORMALIZE_ROWS:
         F = planted(BUILD[family](2, 4), g, entries)
         pair = default_samples(F)[:1]
         if row == "qybe":
@@ -58,6 +68,10 @@ def planted_row(family, row, g, entries, request):
         )
     nf = request.getfixturevalue(NF[family])
     nf = planted(NormalizedFamily(nf.raw, nf.f0), g, entries)
+    if row in NORMALIZE_ROWS:
+        symbolic, module = NORMALIZE_ROWS[row]
+        [thunk] = [t for name, _, t in suite_normalize(nf) if name == row]
+        return thunk, lambda: symbolic(nf), module
     v, w, off, offs = _rep_words(nf)
     e = ComoduleWord(w.letters[:1])
     args = {
@@ -94,16 +108,16 @@ def test_degree_bound_holds_on_planted_faults(family, row, g, request, monkeypat
     calls = []
     certified = module.certified_grade
 
-    def spy(factors, residual, D, mode):
-        calls.append((factors, residual, D))
-        return certified(factors, residual, D, mode)
+    def spy(factors, residual):
+        calls.append((factors, residual))
+        return certified(factors, residual)
 
     monkeypatch.setattr(module, "certified_grade", spy)
     verdict = check()
-    [(factors, residual, D)] = calls
+    [(factors, residual)] = calls
     image = residual(factors)
     assert image.first_nonzero_grade() == verdict
-    bounds = degree_bounds(factors, D)
+    bounds = degree_bounds(factors, factors[0].D)
     for v in image.entries.values():
         for m, r in enumerate(v.grades):
             if r:

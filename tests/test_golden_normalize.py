@@ -11,7 +11,8 @@ fixture; the test rebuilds it from four sources: f0, rho from
 compute_rho(F), the eigenvalue from find_qdet_vector(F) and the
 coefficients from antisymmetrizer(N, D, mode).  A change to the per-grade
 antisymmetrizer check, to rho or to f0 that alters any of these shows up
-here.  To regenerate after an intended change:
+here.  rho equals the eigenvalue in every case, as normalize, which solves
+for f0 against the eigenvalue, relies on.  To regenerate after an intended change:
 ``python tests/test_golden_normalize.py`` rewrites the files in
 ``tests/golden/``.
 """
@@ -60,6 +61,8 @@ def normalization_text(F) -> str:
 def test_normalization_matches_golden(name):
     text = normalization_text(CASES[name]())
     assert text == (GOLDEN / f"{name}.json").read_text()
+    data = json.loads(text)
+    assert data["rho"] == data["eigenvalue"]
 
 
 if __name__ == "__main__":

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from fraction_poly import euclid_lcm, pdivmod, primitive
 from lift_oracle import Lift, dense_lift, permutation_contract, scalar_residual
 from planting import planted
+from qkzkit import qdet
 from qkzkit.errors import LiftFailure, NonUnitError, ShapeMismatch
 from qkzkit.families import (
     ArgShift,
@@ -315,6 +316,20 @@ class TestNormalizedFamily:
         # the class's own __dict__, so inheriting them is not enough
         assert {"r", "r_value"} <= set(vars(NormalizedFamily))
 
+    def test_normalize_contracts_once(self, monkeypatch):
+        # rho is the antisymmetrizer's eigenvalue, so only the rescaled
+        # family's rho is contracted, for the check that it is 1
+        calls = []
+        contract_ = qdet.contract
+
+        def counting(mats):
+            calls.append(len(mats))
+            return contract_(mats)
+
+        monkeypatch.setattr(qdet, "contract", counting)
+        normalize(build_rational(4, 4))
+        assert calls == [4]
+
     @pytest.mark.parametrize("name", ["nf_rat2", "nf_rat3", "nf_trig"])
     def test_rescaled_determinant_acts_as_one(self, name, request):
         nf = request.getfixturevalue(name)
@@ -392,7 +407,7 @@ class TestPairing:
             per_point.append(len(calls) - before)
             return out
 
-        assert certified_grade(factors, counted, nf.D, nf.mode) is None
+        assert certified_grade(factors, counted) is None
         assert per_point == [4] * (nf.D + 1)
 
     def test_control_fails_when_the_rescaling_is_a_no_op(self, nf_rat2):
@@ -623,4 +638,4 @@ def test_certified_grade_matches_the_symbolic_residual(nf_rat2_d3, planted, raw)
     f = factors[i]
     factors[i] = f + LegMatrix(f.shape, {key: Scalar(grades, nf.mode)}, nf.D, nf.mode)
     want = residual(factors).first_nonzero_grade()
-    assert certified_grade(factors, residual, nf.D, nf.mode) == want
+    assert certified_grade(factors, residual) == want

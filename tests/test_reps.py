@@ -4,6 +4,7 @@ import pytest
 from planting import planted
 
 from qkzkit import reps
+from qkzkit.errors import KernelError
 from qkzkit.families import ArgShift
 from qkzkit.hseries import HSeries
 from qkzkit.qdet import NormalizedFamily
@@ -21,7 +22,7 @@ from qkzkit.reps import (
     shift_sub,
 )
 from qkzkit.scalar import Scalar
-from qkzkit.suites import run_checks, suite_reps
+from qkzkit.suites import _rep_words, run_checks, suite_reps
 from qkzkit.tensor import LegMatrix, LegShape
 
 
@@ -129,6 +130,17 @@ class TestBraiding:
                 ArgShift.of(Fraction(2), D),
             )
         assert check_braid_relation(nf, (e, e, e), offs) is None
+
+    @pytest.mark.parametrize("name, uw", [("nf_rat2", 8), ("nf_trig", 7)])
+    def test_inconsistent_offsets_are_rejected(self, name, uw, request):
+        # off_uw must be off_uv + off_vw (5 + 2, or 5 * 2 multiplicative);
+        # a wrong one is the caller's error, not a failing grade of Rbar
+        nf = request.getfixturevalue(name)
+        v, w, _, (uv, _, vw) = _rep_words(nf)
+        e = ComoduleWord(w.letters[:1])
+        offs = (uv, ArgShift.of(Fraction(uw), nf.D), vw)
+        with pytest.raises(KernelError, match="off_uv"):
+            check_braid_relation(nf, (v, e, w), offs)
 
     @pytest.mark.parametrize("name", ["nf_rat2", "nf_trig"])
     def test_intertwiner(self, name, request):
