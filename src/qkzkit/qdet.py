@@ -1,12 +1,13 @@
 """The quantum determinant and the normalizing scalar of an R-matrix family.
 
 The pipeline: check that the classical antisymmetrizer is an eigenvector of
-the N-fold ladder of R-factors at the ladder shifts, at every h-grade, whose
-eigenvalue is the scalar rho by which the determinant element acts in the
-vector representation; solve the product functional equation for the
-normalizing unit f0; and rescale R so that the determinant acts as 1.  f0
-is the whole output: the determinant vector is the fixed antisymmetrizer,
-whose signs contract builds in, and the shifts are ladder_shifts(N, D).
+the N-fold ladder of R-factors at the ladder shifts, at every h-grade; its
+eigenvalue lam is rho, the scalar by which the determinant element acts in
+the vector representation; solve the product functional equation for the
+normalizing unit f0; and rescale R, checking that the determinant then acts
+as 1, which also enforces lam = rho.  f0 is the whole output: the
+determinant vector is the fixed antisymmetrizer, whose signs contract builds
+in, and the shifts are ladder_shifts(N, D).
 
 The ladder is never formed.  The antisymmetrizer is checked on a thin
 operator whose N columns are e_b (x) v0: the N ladder factors applied to it,

@@ -11,9 +11,9 @@ fixture; the test rebuilds it from four sources: f0, rho from
 compute_rho(F), the eigenvalue from find_qdet_vector(F) and the
 coefficients from antisymmetrizer(N, D, mode).  A change to the per-grade
 antisymmetrizer check, to rho or to f0 that alters any of these shows up
-here.  rho equals the eigenvalue in every case, as normalize, which solves
-for f0 against the eigenvalue, relies on.  To regenerate after an intended change:
-``python tests/test_golden_normalize.py`` rewrites the files in
+here.  In every case rho equals the eigenvalue, which normalize relies on:
+it solves for f0 against the eigenvalue.  To regenerate after an intended
+change: ``python tests/test_golden_normalize.py`` rewrites the files in
 ``tests/golden/``.
 """
 
