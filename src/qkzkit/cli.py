@@ -1,8 +1,8 @@
 """Command-line entry point: run verification suites from a JSON config.
 
 Exit codes: 0 all checks exact, 1 at least one check failed, 2 config
-error (unparsable, unknown fields, unsupported family), 3 internal error
-(a normalization that fails included).
+error (unparsable, unknown fields, unsupported family, a report path that
+cannot be written), 3 internal error (a normalization that fails included).
 """
 
 from __future__ import annotations
@@ -77,12 +77,16 @@ def run(argv=None) -> int:
     try:
         results = run_checks(specs)
         report = build_report(results, cfg.to_dict(), cfg.D)
-        if cfg.out:
-            with open(cfg.out, "w") as f:
-                json.dump(report, f, indent=2)
-        print(summary_text(results))
+        text = json.dumps(report, indent=2)
     except Exception as e:  # anything past config parsing is internal
         return _fail(EXIT_INTERNAL, f"internal error: {e!r}")
+    try:
+        if cfg.out:
+            with open(cfg.out, "w") as f:
+                f.write(text)
+    except OSError as e:  # an unwritable report path is bad input, as a config
+        return _fail(EXIT_CONFIG, f"config error: {e}")
+    print(summary_text(results))
     return EXIT_OK if report["passed"] else EXIT_CHECK_FAILED
 
 

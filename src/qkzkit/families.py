@@ -265,13 +265,6 @@ def ladder_factors(F, offs) -> list:
     return [F.r(off).embed(big, (1, k)) for k, off in enumerate(offs, start=2)]
 
 
-def ladder(F, offs) -> LegMatrix:
-    """The product R^{1,2}(off_1) R^{1,3}(off_2) ... of the ladder factors,
-    started from its first factor; an empty offs gives Id on [N]."""
-    big = LegShape([F.N] * (1 + len(offs)))
-    return LegMatrix.product(ladder_factors(F, offs), big, F.D, F.mode)
-
-
 # -- sample handling ---------------------------------------------------
 
 def default_samples(F: RMatrixFamily, count: int = 5):
@@ -312,12 +305,12 @@ def _sampled_ybe(F: RMatrixFamily, samples, classical=False):
     grades = []
     for pair in samples:
         words = [ComoduleWord.of([u], F.D) for u in (none, *pair)]
-        fs = ybe_factors(F, words, (none,) * 3)
-        if classical:  # grades 0 and 1 of each factor, in k(w)[[h]]/(h^3)
-            fs = [LegMatrix(f.shape, {k: Scalar(s.grades[:2] + (RF_ZERO,), F.mode)
-                                      for k, s in f.entries.items()}, 2, F.mode)
-                  for f in fs]
-        grades.append(certified_grade(fs, ybe_residual))
+        ws = ybe_factors(F, words, (none,) * 3)
+        if classical:  # grades 0 and 1 of each letter, in k(w)[[h]]/(h^3)
+            ws = [[LegMatrix(f.shape, {k: Scalar(s.grades[:2] + (RF_ZERO,), F.mode)
+                                       for k, s in f.entries.items()}, 2, F.mode)
+                   for f in w] for w in ws]
+        grades.append(certified_grade(ws, ybe_residual))
     return least_grade(grades)
 
 

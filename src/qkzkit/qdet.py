@@ -237,33 +237,26 @@ def normalize(F: RMatrixFamily) -> NormalizedFamily:
 
 def pairing_contraction(F: RMatrixFamily, points):
     """The determinant contraction through an n-fold ladder of R-factors at
-    the given evaluation points, minus Id, as (factors, residual).
+    the given evaluation points, minus Id, as (ladders, residual).
 
-    factors are the N ladders' displaced R-factors of F in order;
-    residual(factors) is the contraction minus Id over the ring of the
-    factors' entries, so it also takes the factors evaluated at a point.
+    ladders are the N ladders of displaced R-factors of F, one word each;
+    residual maps their products, symbolic or evaluated at a point, to the
+    contraction minus Id.
     """
-    D, mode, n = F.D, F.mode, len(points)
-    if not n:
+    D, mode = F.D, F.mode
+    if not points:
         raise ShapeMismatch("the pairing ladder needs at least one point")
-    factors = []
-    for s in ladder_shifts(F.N, D):
-        # the arguments w + s - a
-        here = ArgShift.of_h(s, mode)
-        factors += ladder_factors(
-            F, [shift_sub(here, ArgShift.of(a, D), mode) for a in points]
-        )
-    big = factors[0].shape
+    ladders = [  # the arguments w + s - a
+        ladder_factors(F, [shift_sub(ArgShift.of_h(s, mode), ArgShift.of(a, D), mode)
+                           for a in points])
+        for s in ladder_shifts(F.N, D)
+    ]
 
-    def residual(fs):
-        ladders = [
-            LegMatrix.product(fs[i:i + n], big, D, mode)
-            for i in range(0, len(fs), n)
-        ]
-        image = contract(ladders)
+    def residual(ls):
+        image = contract(ls)
         return image - LegMatrix.identity(image.shape, D, mode, image.den is not None)
 
-    return factors, residual
+    return ladders, residual
 
 
 def check_pairing_qdet(F: RMatrixFamily, points):
@@ -274,8 +267,7 @@ def check_pairing_qdet(F: RMatrixFamily, points):
     action is exactly the identity, decided by certified evaluation of
     pairing_contraction.
     """
-    factors, residual = pairing_contraction(F, points)
-    return certified_grade(factors, residual)
+    return certified_grade(*pairing_contraction(F, points))
 
 
 def check_pairing_control(nf: NormalizedFamily, points):

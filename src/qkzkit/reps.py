@@ -1,15 +1,15 @@
 """Tensor-word comodules and their pairwise R-matrices.
 
-A word is a list of argument displacements, one per tensor factor; the
-operator R_VW on V (x) W is assembled from the normalized two-leg matrix by
-the hexagon recursion, one factor per pair of letters.  The braiding is the
-leg swap composed with the inverse of R_VW.
+A word is a list of argument displacements, one per tensor factor; R_VW on
+V (x) W is the product of its letter matrices, the normalized two-leg matrix
+on each pair of letters, in the hexagon recursion's order.  The braiding is
+the leg swap composed with the inverse of R_VW.
 """
 
 from __future__ import annotations
 
 from .errors import KernelError, ShapeMismatch
-from .families import ArgShift, RMatrixFamily, ladder, shift_add, shift_sub
+from .families import ArgShift, RMatrixFamily, ladder_factors, shift_add, shift_sub
 from .tensor import LegMatrix, LegShape, certified_grade, least_grade
 
 
@@ -47,6 +47,33 @@ def word_leg_shape(nf: RMatrixFamily, *words) -> LegShape:
     return LegShape([nf.N] * sum(len(w) for w in words))
 
 
+def rvw_factors(
+    nf: RMatrixFamily,
+    vword: ComoduleWord,
+    wword: ComoduleWord,
+    off: ArgShift | None = None,
+    value: bool = False,
+) -> list:
+    """The letter matrices of R_VW on legs [N]^(p+q), V on legs 1..p and W
+    on legs p+1..p+q: the two-leg matrix at each letter pair's combined
+    displacement, evaluated when value is set, in product order.  The
+    hexagon recursion, R_{V1 (x) V2, W} = R_{V2, W} R_{V1, W} and
+    R_{V, W1 (x) W2} = R_{V, W1} R_{V, W2}, flattens to the last V letter
+    first, each paired with the W letters in order."""
+    p = len(vword)
+    if p == 0 or len(wword) == 0:
+        raise ShapeMismatch("both words must be nonempty")
+    big = word_leg_shape(nf, vword, wword)
+    if off is None:
+        off = ArgShift.none(nf.D, nf.mode)
+    r = nf.r_value if value else nf.r
+    return [
+        r(shift_add(off, shift_sub(a, b, nf.mode), nf.mode)).embed(big, (i, p + j))
+        for i, a in reversed(list(enumerate(vword.letters, 1)))
+        for j, b in enumerate(wword.letters, 1)
+    ]
+
+
 def build_rvw(
     nf: RMatrixFamily,
     vword: ComoduleWord,
@@ -54,35 +81,9 @@ def build_rvw(
     off: ArgShift | None = None,
     value: bool = False,
 ) -> LegMatrix:
-    """R_VW on legs [N]^(p+q); V occupies legs 1..p, W legs p+1..p+q.
-
-    The hexagon recursion splits the left word first:
-    R_{V1 (x) V2, W} = R_{V2, W} R_{V1, W} (V2 factor applied first), and
-    symmetrically R_{V, W1 (x) W2} = R_{V, W1} R_{V, W2}; the base case is
-    the two-leg matrix at the combined displacement.
-    """
-    p = len(vword)
-    if p == 0 or len(wword) == 0:
-        raise ShapeMismatch("both words must be nonempty")
-    big = word_leg_shape(nf, vword, wword)
-    mode = nf.mode
-    if off is None:
-        off = ArgShift.none(nf.D, nf.mode)
-
-    def rec(vlegs, wlegs):
-        if len(vlegs) > 1:
-            return rec(vlegs[1:], wlegs) * rec(vlegs[:1], wlegs)
-        if len(wlegs) > 1:
-            return rec(vlegs, wlegs[:1]) * rec(vlegs, wlegs[1:])
-        (lv, av), (lw, bw) = vlegs[0], wlegs[0]
-        arg = shift_add(off, shift_sub(av, bw, mode), mode)
-        base = nf.r_value(arg) if value else nf.r(arg)
-        return base.embed(big, (lv, lw))
-
-    return rec(
-        [(i + 1, a) for i, a in enumerate(vword.letters)],
-        [(p + j + 1, b) for j, b in enumerate(wword.letters)],
-    )
+    """R_VW on legs [N]^(p+q), the product of rvw_factors."""
+    fs = rvw_factors(nf, vword, wword, off, value)
+    return LegMatrix.product(fs, fs[0].shape, nf.D, nf.mode)
 
 
 def block_swap(nf: RMatrixFamily, p: int, q: int, evaluated=False) -> LegMatrix:
@@ -139,9 +140,9 @@ def check_hexagon(
 
 
 def ybe_factors(F: RMatrixFamily, words, offs) -> list:
-    """The factors of Yang-Baxter for three words on U (x) V (x) W: R_UV
-    and R_UW, the U-variable symbolic, and R_VW, evaluated and lifted once.
-    words = (U, V, W); offs = (off_uv, off_uw, off_vw), difference-
+    """The factor words of Yang-Baxter on U (x) V (x) W: the letters of R_UV
+    and of R_UW, the U-variable symbolic, and R_VW, evaluated and lifted
+    once.  words = (U, V, W); offs = (off_uv, off_uw, off_vw), difference-
     consistent: off_uw = off_uv + off_vw, or KernelError."""
     u, v, w = words
     off_uv, off_uw, off_vw = offs
@@ -151,16 +152,16 @@ def ybe_factors(F: RMatrixFamily, words, offs) -> list:
     ends = [0, len(u), len(u) + len(v), len(big.dims)]
     lu, lv, lw = (tuple(range(a + 1, b + 1)) for a, b in zip(ends, ends[1:]))
     return [
-        build_rvw(F, u, v, off_uv).embed(big, lu + lv),
-        build_rvw(F, u, w, off_uw).embed(big, lu + lw),
-        build_rvw(F, v, w, off_vw, value=True).symbolic().embed(big, lv + lw),
+        [f.embed(big, lu + lv) for f in rvw_factors(F, u, v, off_uv)],
+        [f.embed(big, lu + lw) for f in rvw_factors(F, u, w, off_uw)],
+        [build_rvw(F, v, w, off_vw, value=True).symbolic().embed(big, lv + lw)],
     ]
 
 
-def ybe_residual(fs) -> LegMatrix:
-    """R_UV R_UW R_VW - R_VW R_UW R_UV over the ring of the factors'
-    entries, for the factors of ybe_factors or the same evaluated."""
-    r_uv, r_uw, r_vw = fs
+def ybe_residual(rs) -> LegMatrix:
+    """R_UV R_UW R_VW - R_VW R_UW R_UV over the ring of the entries, for the
+    products of the words of ybe_factors, symbolic or evaluated."""
+    r_uv, r_uw, r_vw = rs
     return r_uv * r_uw * r_vw - r_vw * r_uw * r_uv
 
 
@@ -171,12 +172,18 @@ def check_braid_relation(nf: RMatrixFamily, words, offs):
     return certified_grade(ybe_factors(nf, words, offs), ybe_residual)
 
 
-def build_L(nf: RMatrixFamily, word: ComoduleWord) -> LegMatrix:
-    """The evaluation operator of a word on legs [N]^(1+len); leg 1 is the
-    auxiliary leg, and the factors Rbar(w - a_k) multiply left-to-right in
-    word order."""
+def word_ladder(nf: RMatrixFamily, word: ComoduleWord) -> list:
+    """The factors Rbar(w - a_k) of the evaluation operator of a word, on
+    legs [N]^(1+len), leg 1 auxiliary, in word order."""
     neutral = ArgShift.none(nf.D, nf.mode)
-    return ladder(nf, [shift_sub(neutral, a, nf.mode) for a in word.letters])
+    return ladder_factors(nf, [shift_sub(neutral, a, nf.mode) for a in word.letters])
+
+
+def build_L(nf: RMatrixFamily, word: ComoduleWord) -> LegMatrix:
+    """The evaluation operator of a word, the product of word_ladder; Id on
+    [N] for the empty word."""
+    big = LegShape([nf.N] * (1 + len(word)))
+    return LegMatrix.product(word_ladder(nf, word), big, nf.D, nf.mode)
 
 
 def check_rvw_unitarity(
@@ -186,22 +193,22 @@ def check_rvw_unitarity(
     off: ArgShift | None = None,
 ):
     """sigma R_VW(w) sigma R_WV(-w) = 1, decided by certified evaluation
-    with the factors R_VW(w) and R_WV(-w); returns the first nonzero grade
-    of the difference from the identity, or None."""
+    with the letters of R_VW(w) and of R_WV(-w); returns the first nonzero
+    grade of the difference from the identity, or None."""
     p, q = len(vword), len(wword)
     mode = nf.mode
     if off is None:
         off = ArgShift.none(nf.D, mode)
     neg = shift_sub(ArgShift.none(nf.D, mode), off, mode)
-    rvw = build_rvw(nf, vword, wword, off)
-    rwv_neg = build_rvw(nf, wword, vword, neg).map_entries(lambda s: s.negate_arg())
+    rwv_neg = [f.map_entries(lambda s: s.negate_arg())
+               for f in rvw_factors(nf, wword, vword, neg)]
 
-    def residual(fs):
-        ev = fs[0].den is not None
-        prod = block_swap(nf, p, q, ev) * fs[0] * block_swap(nf, q, p, ev) * fs[1]
+    def residual(rs):
+        ev = rs[0].den is not None
+        prod = block_swap(nf, p, q, ev) * rs[0] * block_swap(nf, q, p, ev) * rs[1]
         return prod - LegMatrix.identity(prod.shape, nf.D, mode, ev)
 
-    return certified_grade([rvw, rwv_neg], residual)
+    return certified_grade([rvw_factors(nf, vword, wword, off), rwv_neg], residual)
 
 
 def check_intertwiner(
@@ -212,8 +219,8 @@ def check_intertwiner(
 ):
     """The braiding intertwines the evaluation operators:
     (1_aux (x) beta) L_{V (x) W} = L_{W (x) V} (1_aux (x) beta), decided by
-    certified evaluation; returns the first nonzero grade of the
-    difference, or None."""
+    certified evaluation with the ladders of the two evaluation operators;
+    returns the first nonzero grade of the difference, or None."""
     p, q = len(vword), len(wword)
     big = LegShape([nf.N] * (1 + p + q))
     # the word displaced by off: its evaluation operator is L_V(w - off)
@@ -222,6 +229,6 @@ def check_intertwiner(
     beta = build_braiding(nf, vword, wword, off, value=True).symbolic().embed(
         big, tuple(range(2, p + q + 2))
     )
-    l_vw = build_L(nf, ComoduleWord(shifted_v + wword.letters))
-    l_wv = build_L(nf, ComoduleWord(wword.letters + shifted_v))
-    return certified_grade([beta, l_vw, l_wv], lambda fs: fs[0] * fs[1] - fs[2] * fs[0])
+    l_vw = word_ladder(nf, ComoduleWord(shifted_v + wword.letters))
+    l_wv = word_ladder(nf, ComoduleWord(wword.letters + shifted_v))
+    return certified_grade([[beta], l_vw, l_wv], lambda rs: rs[0] * rs[1] - rs[2] * rs[0])

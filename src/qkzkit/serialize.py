@@ -8,6 +8,7 @@ of its grade strings.
 from __future__ import annotations
 
 import json
+import os
 
 from .errors import KernelError
 from .families import ArgShift
@@ -95,6 +96,8 @@ class RunConfig:
         least_d = max(d for d, _, _ in suite_rows(suite))
         if D < least_d:
             raise KernelError(f"suite {suite!r} needs D >= {least_d}, got {D}")
+        if out is not None and not os.path.isdir(os.path.dirname(out) or "."):
+            raise KernelError(f"report path {out!r} is in no existing directory")
         if (instances or fault is not None) and suite not in ("qkz", "all"):
             raise KernelError(
                 f"instances and fault apply only with suite qkz or all, not {suite!r}"

@@ -658,25 +658,26 @@ def _small_integers():
         yield -k
 
 
-def certified_grade(factors, residual) -> int | None:
-    """residual(factors).first_nonzero_grade(), decided at a few points.
+def certified_grade(words, residual) -> int | None:
+    """residual(word products).first_nonzero_grade(), decided at a few points.
 
-    factors are symbolic LegMatrices, whose truncation D and mode are read
-    off the first; residual maps them, or the same factors evaluated at a
-    point, to a LegMatrix whose grade-g entries are Q-linear combinations of
-    products taking at most one entry from each factor.  So every operand
-    that carries h-grades is a factor, an evaluated one lifted once, since
-    the bounds see the grades of the factors alone; a grade-0 constant, such
-    as a leg permutation or Id, may stay inside residual.  Evaluation at a
-    point that is no pole commutes with the ring operations, and Lambda_g
-    times the grade-g residual is a polynomial of degree at most B_g
-    (degree_bounds), so grade g is zero once B_g + 1 points read zero there;
-    a nonzero reading is exact.  The points are the small integers that are
-    no root of a denominator (nor 0 in the multiplicative coordinate), taken
-    until each grade below the least failing one seen has its B_g + 1.
+    words are non-empty lists of symbolic LegMatrices, the factors, whose D
+    and mode are read off the first; residual maps one product per word, of
+    its factors evaluated at a point, to a LegMatrix whose grade-g entries
+    are Q-linear combinations of products taking at most one entry from each
+    word product, so from each factor.  So every operand that carries
+    h-grades is a factor, an evaluated one lifted once, since the bounds see
+    the grades of the factors alone; a grade-0 constant, such as a leg
+    permutation or Id, may stay inside residual.  Evaluation at a point that
+    is no pole commutes with the ring operations, and Lambda_g times the
+    grade-g residual is a polynomial of degree at most B_g (degree_bounds),
+    so grade g is zero once B_g + 1 points read zero there; a nonzero
+    reading is exact.  The points are the small integers that are no root
+    of a denominator (nor 0 in the multiplicative coordinate), taken until
+    each grade below the least failing one seen has its B_g + 1.
     """
-    D, mode = factors[0].D, factors[0].mode
-    bounds = degree_bounds(factors, D)
+    D, mode = words[0][0].D, words[0][0].mode
+    bounds = degree_bounds([f for w in words for f in w], D)
     lams = [b[0] for b in bounds if b is not None]
     need = [0 if b is None else b[1] + 1 for b in bounds]
     best, used = None, 0
@@ -686,7 +687,7 @@ def certified_grade(factors, residual) -> int | None:
         if (mode != ADDITIVE and x == 0) or any(peval(lam, x) == 0 for lam in lams):
             continue
         p = Point.of(x, D, mode)
-        grade = residual([f.at(p) for f in factors]).first_nonzero_grade()
-        best = least_grade([best, grade])
+        rs = [LegMatrix.product([f.at(p) for f in w], w[0].shape, D, mode) for w in words]
+        best = least_grade([best, residual(rs).first_nonzero_grade()])
         used += 1
     return best

@@ -17,8 +17,9 @@ all N! coefficients, N - 1 block products each.
 from dataclasses import dataclass
 from itertools import permutations
 
+from product_oracle import ladder
 from qkzkit.errors import LiftFailure
-from qkzkit.families import ArgShift, ladder
+from qkzkit.families import ArgShift
 from qkzkit.qdet import _perm_sign, aux_blocks, ladder_shifts
 from qkzkit.ratfn import RF_ONE, RF_ZERO, RatFn
 from qkzkit.scalar import Scalar

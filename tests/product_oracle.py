@@ -2,18 +2,78 @@
 identity out over k(w)[[h]] and reads the first nonzero grade of the
 residual.  The library decides the same rows by certified evaluation
 (tensor.certified_grade); the tests compare the two verdicts.
+
+The word operators the row oracles multiply out come from the builders
+kept here, not from the library's: build_rvw, the hexagon recursion, and
+ladder, the product of the ladder factors.
 """
 
+from qkzkit.errors import ShapeMismatch
 from qkzkit.families import (
     ArgShift,
     default_samples,
+    ladder_factors,
     shift_add,
     shift_sub,
     unitarity_product,
 )
 from qkzkit.qdet import qdet_apply
-from qkzkit.reps import ComoduleWord, block_swap, build_braiding, build_L, build_rvw
+from qkzkit.reps import ComoduleWord, block_swap, word_leg_shape
 from qkzkit.tensor import LegMatrix, LegShape, least_grade
+
+
+def word_products(words):
+    """The symbolic product of each word of factors that a certified row
+    hands to certified_grade: what its residual runs on when multiplied
+    out."""
+    return [LegMatrix.product(w, w[0].shape, w[0].D, w[0].mode) for w in words]
+
+
+def build_rvw(nf, vword, wword, off=None, value=False):
+    """R_VW on legs [N]^(p+q); V occupies legs 1..p, W legs p+1..p+q.
+
+    The hexagon recursion splits the left word first:
+    R_{V1 (x) V2, W} = R_{V2, W} R_{V1, W} (V2 factor applied first), and
+    symmetrically R_{V, W1 (x) W2} = R_{V, W1} R_{V, W2}; the base case is
+    the two-leg matrix at the combined displacement.
+    """
+    p = len(vword)
+    if p == 0 or len(wword) == 0:
+        raise ShapeMismatch("both words must be nonempty")
+    big = word_leg_shape(nf, vword, wword)
+    mode = nf.mode
+    if off is None:
+        off = ArgShift.none(nf.D, nf.mode)
+
+    def rec(vlegs, wlegs):
+        if len(vlegs) > 1:
+            return rec(vlegs[1:], wlegs) * rec(vlegs[:1], wlegs)
+        if len(wlegs) > 1:
+            return rec(vlegs, wlegs[:1]) * rec(vlegs, wlegs[1:])
+        (lv, av), (lw, bw) = vlegs[0], wlegs[0]
+        arg = shift_add(off, shift_sub(av, bw, mode), mode)
+        base = nf.r_value(arg) if value else nf.r(arg)
+        return base.embed(big, (lv, lw))
+
+    return rec(
+        [(i + 1, a) for i, a in enumerate(vword.letters)],
+        [(p + j + 1, b) for j, b in enumerate(wword.letters)],
+    )
+
+
+def ladder(F, offs):
+    """The product R^{1,2}(off_1) R^{1,3}(off_2) ... of the ladder factors,
+    started from its first factor; an empty offs gives Id on [N]."""
+    big = LegShape([F.N] * (1 + len(offs)))
+    return LegMatrix.product(ladder_factors(F, offs), big, F.D, F.mode)
+
+
+def build_L(nf, word):
+    """The evaluation operator of a word on legs [N]^(1+len); leg 1 is the
+    auxiliary leg, and the factors Rbar(w - a_k) multiply left-to-right in
+    word order."""
+    neutral = ArgShift.none(nf.D, nf.mode)
+    return ladder(nf, [shift_sub(neutral, a, nf.mode) for a in word.letters])
 
 
 def three_leg_factors(F, u2, u3):
@@ -92,9 +152,8 @@ def intertwiner(nf, vword, wword, off):
     p, q = len(vword), len(wword)
     big = LegShape([nf.N] * (1 + p + q))
     shifted_v = tuple(shift_add(a, off, nf.mode) for a in vword.letters)
-    beta = build_braiding(nf, vword, wword, off, value=True).symbolic().embed(
-        big, tuple(range(2, p + q + 2))
-    )
+    braiding = block_swap(nf, p, q, True) * build_rvw(nf, vword, wword, off, True).inv()
+    beta = braiding.symbolic().embed(big, tuple(range(2, p + q + 2)))
     l_vw = build_L(nf, ComoduleWord(shifted_v + wword.letters))
     l_wv = build_L(nf, ComoduleWord(wword.letters + shifted_v))
     return (beta * l_vw - l_wv * beta).first_nonzero_grade()

@@ -3,7 +3,9 @@
 `normalized-unitarity` are decided by certified evaluation.  On
 planted faults their verdicts must be those of the symbolic oracles in
 product_oracle.py, and Lambda_g times every grade-g entry of the symbolic
-residual must clear to a polynomial of degree at most B_g.
+residual, the identity multiplied out symbolically over the products of
+the row's words of factors, must clear to a polynomial of degree at most
+B_g.
 """
 
 import pytest
@@ -30,7 +32,7 @@ from qkzkit.reps import (
     check_rvw_unitarity,
 )
 from qkzkit.suites import _rep_words, suite_normalize
-from qkzkit.tensor import degree_bounds
+from qkzkit.tensor import LegMatrix, degree_bounds
 
 BUILD = {"rational": build_rational, "trigonometric": build_trigonometric}
 NF = {"rational": "nf_rat2", "trigonometric": "nf_trig"}
@@ -72,15 +74,20 @@ def planted_row(family, row, g, entries, request):
         symbolic, module = NORMALIZE_ROWS[row]
         [thunk] = [t for name, _, t in suite_normalize(nf) if name == row]
         return thunk, lambda: symbolic(nf), module
+    args = rep_args(nf, row)
+    check, symbolic = REPS_ROWS[row]
+    return lambda: check(*args), lambda: symbolic(*args), reps
+
+
+def rep_args(nf, row):
+    """The arguments suite_reps gives the certified check of a reps row."""
     v, w, off, offs = _rep_words(nf)
     e = ComoduleWord(w.letters[:1])
-    args = {
+    return {
         "mixed-ybe": (nf, (v, e, w), offs),
         "rvw-unitarity": (nf, v, w, off),
         "intertwiner": (nf, e, w, off),
     }[row]
-    check, symbolic = REPS_ROWS[row]
-    return lambda: check(*args), lambda: symbolic(*args), reps
 
 
 small_faults = st.dictionaries(
@@ -108,22 +115,43 @@ def test_degree_bound_holds_on_planted_faults(family, row, g, request, monkeypat
     calls = []
     certified = module.certified_grade
 
-    def spy(factors, residual):
-        calls.append((factors, residual))
-        return certified(factors, residual)
+    def spy(words, residual):
+        calls.append((words, residual))
+        return certified(words, residual)
 
     monkeypatch.setattr(module, "certified_grade", spy)
     verdict = check()
-    [(factors, residual)] = calls
-    image = residual(factors)
+    [(words, residual)] = calls
+    image = residual(oracle.word_products(words))
     assert image.first_nonzero_grade() == verdict
-    bounds = degree_bounds(factors, factors[0].D)
+    bounds = degree_bounds([f for w in words for f in w], words[0][0].D)
     for v in image.entries.values():
         for m, r in enumerate(v.grades):
             if r:
                 lam, bound = bounds[m]
                 q, rem = pdivmod(pmul(lam, r.num), r.den)
                 assert rem == () and pdeg(q) <= bound
+
+
+@pytest.mark.parametrize("name", sorted(NF.values()))
+@pytest.mark.parametrize("row", sorted(REPS_ROWS))
+def test_reps_rows_form_no_symbolic_product(name, row, request, monkeypatch):
+    # each row's word operators (R_VW and R_WV of a two-letter V, R_UV and
+    # R_UW of a two-letter U, the two-letter ladders of L) are multiplied
+    # only once their letters are evaluated at a point
+    nf = request.getfixturevalue(name)
+    args = rep_args(nf, row)
+    symbolic = []
+    mul = LegMatrix.__mul__
+
+    def spy(a, b):
+        if a.den is None or b.den is None:
+            symbolic.append((a, b))
+        return mul(a, b)
+
+    monkeypatch.setattr(LegMatrix, "__mul__", spy)
+    assert REPS_ROWS[row][0](*args) is None
+    assert symbolic == []
 
 
 @pytest.mark.parametrize("build", [build_rational, build_trigonometric])

@@ -93,6 +93,32 @@ class TestExitCodes:
     def test_missing_config(self, tmp_path):
         assert run(["--config", str(tmp_path / "nope.json")]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("through", ["config", "option"])
+    def test_report_in_a_missing_directory_is_config_error(
+        self, tmp_path, capsys, monkeypatch, through
+    ):
+        # it used to run every check and then exit 3 on the failed write
+        ran = []
+        monkeypatch.setattr(cli, "run_checks", lambda specs: ran.append(specs))
+        out = str(tmp_path / "missing" / "r.json")
+        if through == "config":
+            argv = ["--config", write_cfg(tmp_path, "out.json", out=out)]
+        else:
+            argv = ["--config", write_cfg(tmp_path, "ok.json"), "--out", out]
+        assert run(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "Traceback" not in err
+        assert "is in no existing directory" in err
+        assert ran == []
+
+    def test_unwritable_report_is_config_error(self, tmp_path, capsys):
+        # a directory as the report path passes the directory check, and
+        # writing to it fails once the checks have run
+        cfg = write_cfg(tmp_path, "ok.json")
+        assert run(["--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "internal error" not in err
+
     def test_injected_fault_fails(self, tmp_path, capsys):
         cfg = write_cfg(
             tmp_path, "fault.json", suite="qkz", fault="drop-step-shift"

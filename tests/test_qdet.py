@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from fraction_poly import euclid_lcm, pdivmod, primitive
 from lift_oracle import Lift, dense_lift, permutation_contract, scalar_residual
 from planting import planted
+from product_oracle import word_products
 from qkzkit import qdet
 from qkzkit.errors import LiftFailure, NonUnitError, ShapeMismatch
 from qkzkit.families import (
@@ -363,6 +364,18 @@ class TestNormalizedFamily:
         nf = request.getfixturevalue(name)
         assert nf.crossing_defect() is None
 
+    @pytest.mark.parametrize("name", ["nf_rat2", "nf_trig"])
+    @pytest.mark.parametrize("g", [1, 2, 3])
+    def test_planted_crossing_fault_reads_the_next_grade(self, name, g, request):
+        # Rbar + h^g E with Rbar_0 = Id and E constant: to first order in E,
+        # theta twice moves h^g E by (h^g E^t1)^t1 = h^g E, and displacing
+        # the argument by N h leaves a constant alone, so both sides gain
+        # h^g E and grade g cancels; the first grade that differs is g + 1,
+        # where E meets the classical r inside the two inversions
+        nf = request.getfixturevalue(name)
+        bad = planted(NormalizedFamily(nf.raw, nf.f0), g)
+        assert bad.crossing_defect() == g + 1
+
 
 class TestPairing:
     @pytest.mark.parametrize("name", ["nf_rat2", "nf_trig"])
@@ -384,10 +397,10 @@ class TestPairing:
     def test_ladders_start_from_their_first_factor(self, monkeypatch):
         # N = 2: two products in the contraction and one per ladder (N
         # ladders of two factors); multiplying Id in first took N more.
-        # The symbolic residual and the residual at each evaluation point
-        # take the same products, at D + 1 points since B_g = g
+        # The symbolic products and each evaluation point take the same
+        # products, at D + 1 points since B_g = g
         nf = normalize(build_rational(2, 2))
-        factors, residual = pairing_contraction(nf, [Fraction(1), Fraction(5, 2)])
+        ladders, residual = pairing_contraction(nf, [Fraction(1), Fraction(5, 2)])
         calls = []
         mul = LegMatrix.__mul__
 
@@ -396,19 +409,19 @@ class TestPairing:
             return mul(a, b)
 
         monkeypatch.setattr(LegMatrix, "__mul__", counting)
-        assert residual(factors).is_zero
+        assert residual(word_products(ladders)).is_zero
         assert len(calls) == 4
 
-        per_point = []
+        # the products of each point: its ladders', then the residual's
+        ends = [len(calls)]
 
-        def counted(fs):
-            before = len(calls)
-            out = residual(fs)
-            per_point.append(len(calls) - before)
+        def counted(rs):
+            out = residual(rs)
+            ends.append(len(calls))
             return out
 
-        assert certified_grade(factors, counted) is None
-        assert per_point == [4] * (nf.D + 1)
+        assert certified_grade(ladders, counted) is None
+        assert [b - a for a, b in zip(ends, ends[1:])] == [4] * (nf.D + 1)
 
     def test_control_fails_when_the_rescaling_is_a_no_op(self, nf_rat2):
         # a family that is already normalized: its raw contraction is Id at
@@ -537,9 +550,9 @@ class TestCertifiedPairing:
         # polynomial of degree at most B_g
         nf = request.getfixturevalue(name)
         F = nf.raw if raw else nf
-        factors, residual = pairing_contraction(F, pairing_points(nf))
-        bounds = degree_bounds(factors, nf.D)
-        image = residual(factors)
+        ladders, residual = pairing_contraction(F, pairing_points(nf))
+        bounds = degree_bounds([f for ls in ladders for f in ls], nf.D)
+        image = residual(word_products(ladders))
         assert raw == (not image.is_zero)
         for v in image.entries.values():
             for g, r in enumerate(v.grades):
@@ -558,7 +571,8 @@ class TestCertifiedPairing:
         # per grade the same B_g, and Lambda_g up to a rational unit
         nf = request.getfixturevalue(name)
         F = nf.raw if raw else nf
-        factors, _ = pairing_contraction(F, pairing_points(nf))
+        ladders, _ = pairing_contraction(F, pairing_points(nf))
+        factors = [f for ls in ladders for f in ls]
         one = (Fraction(1),)
         reach = {0: (one, 0)}
         for f in factors:
@@ -597,8 +611,8 @@ class TestCertifiedPairing:
         fault = {(0, 1): Scalar(grades, nf.mode)}
         bad._base = nf.base + LegMatrix(nf.base.shape, fault, nf.D, nf.mode)
         pts = pairing_points(nf)
-        factors, residual = pairing_contraction(bad, pts)
-        assert residual(factors).first_nonzero_grade() == 3
+        ladders, residual = pairing_contraction(bad, pts)
+        assert residual(word_products(ladders)).first_nonzero_grade() == 3
         assert check_pairing_qdet(bad, pts) == 3
 
 
@@ -632,10 +646,13 @@ def test_certified_grade_matches_the_symbolic_residual(nf_rat2_d3, planted, raw)
     nf = nf_rat2_d3
     i, key, grade, fault = planted
     pts = [Fraction(1), Fraction(5, 2)]
-    factors, residual = pairing_contraction(nf.raw if raw else nf, pts)
+    ladders, residual = pairing_contraction(nf.raw if raw else nf, pts)
     grades = [RF_ZERO] * (nf.D + 1)
     grades[grade] = fault
-    f = factors[i]
-    factors[i] = f + LegMatrix(f.shape, {key: Scalar(grades, nf.mode)}, nf.D, nf.mode)
-    want = residual(factors).first_nonzero_grade()
-    assert certified_grade(factors, residual) == want
+    ladder = ladders[i // len(pts)]  # factor i of the N ladders in order
+    f = ladder[i % len(pts)]
+    ladder[i % len(pts)] = f + LegMatrix(
+        f.shape, {key: Scalar(grades, nf.mode)}, nf.D, nf.mode
+    )
+    want = residual(word_products(ladders)).first_nonzero_grade()
+    assert certified_grade(ladders, residual) == want

@@ -1,8 +1,11 @@
 from fractions import Fraction
 
 import pytest
-from planting import planted
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import product_oracle as oracle
+from planting import planted
 from qkzkit import reps
 from qkzkit.errors import KernelError
 from qkzkit.families import ArgShift
@@ -150,7 +153,34 @@ class TestBraiding:
         assert check_intertwiner(nf, e, w, off) is None
 
 
+#: letters and an offset whose combined displacements avoid the poles of
+#: each coordinate's two-leg matrix at h^0 (w = 0 additive, w = +-1
+#: multiplicative), so the evaluated R_VW exists
+LETTERS = {
+    "additive": ([Fraction(0), Fraction(1, 2), Fraction(1, 3), Fraction(1)], 5),
+    "multiplicative": ([Fraction(1), Fraction(2), Fraction(3), Fraction(5)], 7),
+}
+
+
+@pytest.mark.parametrize("name", ["nf_rat2", "nf_trig"])
+@pytest.mark.parametrize("value", [False, True], ids=["symbolic", "evaluated"])
+@given(data=st.data())
+@settings(max_examples=6, deadline=None)
+def test_build_rvw_is_the_hexagon_recursion(name, value, data, request):
+    # the product of the flat letter list, in its order, is the recursion's
+    nf = request.getfixturevalue(name)
+    pool, off = LETTERS[nf.mode]
+    letters = st.lists(st.sampled_from(pool), min_size=1, max_size=3)
+    v, w = (ComoduleWord.of(data.draw(letters), nf.D) for _ in range(2))
+    off = ArgShift.of(off, nf.D)
+    assert build_rvw(nf, v, w, off, value) == oracle.build_rvw(nf, v, w, off, value)
+
+
 class TestEvaluationOperator:
+    def test_empty_word_is_the_identity_on_the_auxiliary_leg(self, nf_rat2, nf_trig):
+        for nf in (nf_rat2, nf_trig):
+            assert build_L(nf, ComoduleWord(())) == nf.identity(1)
+
     def test_neutral_word_is_rbar(self, nf_rat2, nf_trig):
         for nf in (nf_rat2, nf_trig):
             neutral = Fraction(0) if nf.mode == "additive" else Fraction(1)
